@@ -20,7 +20,6 @@ from treestop.config import ExperimentConfig
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--k", type=int, default=50000)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out-dir", default="boundary_runs")
     args = ap.parse_args()
 
@@ -30,7 +29,7 @@ def main():
                             with_ls=True, with_boundary=True)
     for x0 in (85.0, 110.0):
         cfg = replace(base, x0=x0, out=os.path.join(args.out_dir, f"x{int(x0)}"))
-        reports = run_experiment(cfg, threads=args.threads)
+        reports = run_experiment(cfg)
         print(f"x0={x0}: v_test={reports['v_test'].value:.3f} "
               f"(se {reports['v_test'].se:.3f}) -> {cfg.out}/")
 

@@ -16,7 +16,6 @@ from treestop.cart import (
     Split,
     delta_split,
     grow,
-    predict,
     prototype_split,
     removal,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "delta_split",
     "prototype_split",
     "grow",
-    "predict",
     "TrainConfig",
     "BaggedStopper",
     "StopResult",

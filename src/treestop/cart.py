@@ -24,6 +24,7 @@ left boundary sample value itself.  Leaf weight 1 means STOP, 0 CONTINUE.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,19 +149,45 @@ def _full_orders(samples: DeltaSamples) -> list[np.ndarray]:
     return [np.lexsort((idx, samples.points[:, d])) for d in range(samples.dim)]
 
 
+def _decide(points: np.ndarray, weight: np.ndarray, rows: np.ndarray, orders,
+            total: float, prototype: bool):
+    """Leaf-or-split decision for one node: the split rule of both splitters.
+
+    ``rows`` are the node's row indices, ``orders`` its per-dim orders and
+    ``total`` its weight sum (see ``_scan``).  A single row is a leaf.  The
+    delta splitter splits only when the best scan score strictly exceeds
+    |total|; the prototype splitter always splits.
+
+    Returns (Leaf, None, None) or (Split, left_rows, right_rows).
+    """
+    if rows.shape[0] == 1:
+        return _leaf_for(total), None, None
+    best = _scan(points, weight, orders, total)
+    if best is None:
+        if prototype:
+            raise RuntimeError("no valid split position: points not distinct")
+        return _leaf_for(total), None, None
+    score, dim, thr, left_rows, right_rows = best
+    if not prototype and score <= abs(total):
+        return _leaf_for(total), None, None
+    return Split(dim, thr), left_rows, right_rows
+
+
+def _root_decision(samples: DeltaSamples, prototype: bool) -> Split | Leaf:
+    if len(samples) == 0:
+        raise ValueError("empty sample set")
+    decision, _, _ = _decide(samples.points, samples.weight, np.arange(len(samples)),
+                             _full_orders(samples), float(np.sum(samples.weight)), prototype)
+    return decision
+
+
 def delta_split(samples: DeltaSamples) -> Split | Leaf:
     """Size-controlled split decision.
 
     Splits only when the best one-sided partial-sum score strictly exceeds
     |total weight|; in particular any same-sign weight set yields a leaf.
     """
-    if len(samples) == 0:
-        raise ValueError("empty sample set")
-    total = float(np.sum(samples.weight))
-    best = _scan(samples.points, samples.weight, _full_orders(samples), total)
-    if best is not None and best[0] > abs(total):
-        return Split(best[1], best[2])
-    return _leaf_for(total)
+    return _root_decision(samples, prototype=False)
 
 
 def prototype_split(samples: DeltaSamples) -> Split | Leaf:
@@ -168,15 +195,7 @@ def prototype_split(samples: DeltaSamples) -> Split | Leaf:
 
     A single sample becomes a leaf, STOP exactly when its delta is negative.
     """
-    if len(samples) == 0:
-        raise ValueError("empty sample set")
-    if len(samples) == 1:
-        return _leaf_for(float(samples.weight[0]))
-    total = float(np.sum(samples.weight))
-    best = _scan(samples.points, samples.weight, _full_orders(samples), total)
-    if best is None:
-        raise RuntimeError("no valid split position: points not distinct")
-    return Split(best[1], best[2])
+    return _root_decision(samples, prototype=True)
 
 
 DELTA = "delta"
@@ -282,30 +301,38 @@ class CartTree:
 
     @classmethod
     def from_text(cls, text: str) -> "CartTree":
+        """Parse a ``to_text`` dump; ValueError names the first malformed line.
+
+        Node lines must run 0..nodes-1 in order and every child id must exceed
+        its parent's, as ``to_text`` writes them, so traversal always ends.
+        """
         lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        head = lines[0].split()
-        if head[0] != "tree":
-            raise ValueError("not a tree dump")
-        meta = dict(part.split("=") for part in head[1:])
-        n = int(meta["nodes"])
+        head = re.fullmatch(r"tree nodes=(\d+) features=(\d+)", lines[0].strip()) if lines else None
+        if head is None or int(head[1]) < 1:
+            raise ValueError(f"not a tree dump: {lines[0] if lines else text!r}")
+        n, n_features = int(head[1]), int(head[2])
+        if len(lines) != n + 1:
+            raise ValueError(f"tree declares {n} nodes but has {len(lines) - 1} node lines")
         feature = np.full(n, -1, dtype=np.int32)
         threshold = np.zeros(n)
         left = np.full(n, -1, dtype=np.int32)
         right = np.full(n, -1, dtype=np.int32)
         weight = np.zeros(n, dtype=np.int8)
-        for ln in lines[1:]:
+        for i, ln in enumerate(lines[1:]):
             parts = ln.split()
-            i, kind = int(parts[0]), parts[1]
-            if kind == "split":
-                feature[i] = int(parts[2])
-                threshold[i] = float(parts[3])
-                left[i] = int(parts[4])
-                right[i] = int(parts[5])
-            elif kind == "leaf":
-                weight[i] = int(parts[2])
-            else:
-                raise ValueError(f"bad node line: {ln!r}")
-        return cls(feature, threshold, left, right, weight, int(meta["features"]))
+            try:
+                if parts[:2] == [str(i), "split"] and len(parts) == 6:
+                    f, lo, hi = int(parts[2]), int(parts[4]), int(parts[5])
+                    if not (0 <= f < n_features and i < lo < n and i < hi < n):
+                        raise ValueError
+                    feature[i], threshold[i], left[i], right[i] = f, float(parts[3]), lo, hi
+                elif parts in ([str(i), "leaf", "0"], [str(i), "leaf", "1"]):
+                    weight[i] = int(parts[2])
+                else:
+                    raise ValueError
+            except (ValueError, OverflowError):
+                raise ValueError(f"bad node line {ln!r}") from None
+        return cls(feature, threshold, left, right, weight, n_features)
 
 
 class _Builder:
@@ -353,46 +380,29 @@ def grow(samples: DeltaSamples, config: GrowConfig) -> CartTree:
     # once at the root and filtered through partitions, never re-sorted.  Each
     # node also carries its rows in original sample order so weight totals
     # accumulate exactly as in the standalone split functions.
-    m = len(samples)
-    root_orders = [np.lexsort((np.arange(m), points[:, d])) for d in range(points.shape[1])]
-    root_rows = np.arange(m)
-    member = np.empty(m, dtype=bool)
+    member = np.empty(len(samples), dtype=bool)
 
     def build(rows, rows_orders, depth: int) -> int:
         total = float(np.sum(weight[rows]))
         if depth >= config.max_depth or rows.shape[0] < config.min_node_size:
             return builder.add_leaf(_leaf_for(total).weight)
-        if rows.shape[0] == 1:
-            return builder.add_leaf(_leaf_for(total).weight)
-        best = _scan(points, weight, rows_orders, total)
-        if best is None:
-            if proto:
-                raise RuntimeError("no valid split position: points not distinct")
-            return builder.add_leaf(_leaf_for(total).weight)
-        score, dim, thr, left_rows, right_rows = best
-        if not proto and score <= abs(total):
-            return builder.add_leaf(_leaf_for(total).weight)
-        node_id = builder.add_split(dim, thr)
-        member[:] = False
-        member[left_rows] = True
-        left_sub = (rows[member[rows]],
-                    [o[member[o]] for o in rows_orders])
-        member[:] = False
-        member[right_rows] = True
-        right_sub = (rows[member[rows]],
-                     [o[member[o]] for o in rows_orders])
-        builder.left[node_id] = build(left_sub[0], left_sub[1], depth + 1)
-        builder.right[node_id] = build(right_sub[0], right_sub[1], depth + 1)
+        decision, left_rows, right_rows = _decide(points, weight, rows, rows_orders,
+                                                  total, proto)
+        if isinstance(decision, Leaf):
+            return builder.add_leaf(decision.weight)
+        node_id = builder.add_split(decision.dim, decision.threshold)
+        children = []
+        for side in (left_rows, right_rows):
+            member[:] = False
+            member[side] = True
+            children.append((rows[member[rows]], [o[member[o]] for o in rows_orders]))
+        builder.left[node_id] = build(*children[0], depth + 1)
+        builder.right[node_id] = build(*children[1], depth + 1)
         return node_id
 
-    root = build(root_rows, root_orders, 0)
+    root = build(np.arange(len(samples)), _full_orders(samples), 0)
     assert root == 0
     return CartTree(
         builder.feature, builder.threshold, builder.left, builder.right,
         builder.weight, points.shape[1],
     )
-
-
-def predict(tree: CartTree, x) -> int | np.ndarray:
-    """Functional alias for ``tree.predict``."""
-    return tree.predict(x)

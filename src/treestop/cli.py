@@ -98,37 +98,59 @@ def _load_theoretical(path) -> np.ndarray:
     return out
 
 
-def run_experiment(cfg: ExperimentConfig, threads: int = 1,
-                   boundary_file: str | None = None) -> dict:
+def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = True,
+         save: bool = True, boundary: bool = False, boundary_file: str | None = None) -> dict:
+    """Simulate, fit (or load ``stopper_file``), apply and value one config.
+
+    Only the ensembles the requested stages need are simulated.  ``save``
+    writes a fitted stopper (stopper.txt, config_resolved.cfg) and, with
+    ``value``, the full report list (v_max and the cfg.with_ls baseline
+    included) to valuation.csv; unsaved runs value only v_train and v_test.
+    ``boundary`` writes the test ensemble's boundary CSVs, with residuals
+    against ``boundary_file`` when given.  Returns the reports keyed by kind.
+    """
+    fit = stopper_file is None
+    if save or boundary:
+        os.makedirs(cfg.out, exist_ok=True)
+    if fit and save:
+        with open(os.path.join(cfg.out, "config_resolved.cfg"), "w") as fh:
+            fh.write(cfg.serialize())
+    reward_spec = cfg.reward_spec()
+    if not fit:
+        with open(stopper_file) as fh:
+            stopper = BaggedStopper.parse(fh.read(), reward_spec)
+    paths_train = cfg.make_ensemble(TRAIN_LABEL) if fit or value else None
+    if fit:
+        stopper = train(paths_train, reward_spec, cfg.train_config())
+        if save:
+            with open(os.path.join(cfg.out, "stopper.txt"), "w") as fh:
+                fh.write(_provenance(cfg))
+                fh.write(stopper.serialize())
+    if not (value or boundary):
+        return {}
+
+    paths_test = cfg.make_ensemble(TEST_LABEL)
+    res_test = apply(stopper, paths_test)
+    reports = []
+    if value:
+        reports = [value_of_rule(apply(stopper, paths_train)), value_of_rule(res_test)]
+        if save:
+            reports.append(v_max(paths_test, reward_spec))
+            if cfg.with_ls:
+                reports.extend(ls_value(paths_train, paths_test, reward_spec))
+            _write_valuation_csv(os.path.join(cfg.out, "valuation.csv"), cfg, reports)
+    if boundary:
+        theoretical = _load_theoretical(boundary_file) if boundary_file else None
+        _write_boundary_csv(cfg.out, cfg, extract_boundary(res_test, paths_test, theoretical))
+    return {rep.kind: rep for rep in reports}
+
+
+def run_experiment(cfg: ExperimentConfig, boundary_file: str | None = None) -> dict:
     """Simulate, fit, evaluate, and write all artifacts for one config.
 
     Returns the in-memory reports keyed by kind, for callers that want them.
     """
-    os.makedirs(cfg.out, exist_ok=True)
-    with open(os.path.join(cfg.out, "config_resolved.cfg"), "w") as fh:
-        fh.write(cfg.serialize())
-
-    reward_spec = cfg.reward_spec()
-    paths_train = cfg.make_ensemble(TRAIN_LABEL)
-    paths_test = cfg.make_ensemble(TEST_LABEL)
-    stopper = train(paths_train, reward_spec, cfg.train_config(), threads=threads)
-    with open(os.path.join(cfg.out, "stopper.txt"), "w") as fh:
-        fh.write(_provenance(cfg))
-        fh.write(stopper.serialize())
-
-    res_train = apply(stopper, paths_train)
-    res_test = apply(stopper, paths_test)
-    reports = [value_of_rule(res_train), value_of_rule(res_test),
-               v_max(paths_test, reward_spec)]
-    if cfg.with_ls:
-        reports.extend(ls_value(paths_train, paths_test, reward_spec))
-    _write_valuation_csv(os.path.join(cfg.out, "valuation.csv"), cfg, reports)
-
-    if cfg.with_boundary:
-        theoretical = _load_theoretical(boundary_file) if boundary_file else None
-        scatter = extract_boundary(res_test, paths_test, theoretical)
-        _write_boundary_csv(cfg.out, cfg, scatter)
-    return {rep.kind: rep for rep in reports}
+    return _run(cfg, boundary=cfg.with_boundary, boundary_file=boundary_file)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +195,7 @@ def benchmark_grid(suite: str) -> list[ExperimentConfig]:
     return rows
 
 
-def run_benchmark(suite: str, scale: float, out_path: str, threads: int = 1) -> None:
+def run_benchmark(suite: str, scale: float, out_path: str) -> None:
     """Run one suite with path counts scaled by ``scale``; write the table CSV."""
     if scale <= 0:
         raise ConfigError("scale must be positive")
@@ -187,17 +209,13 @@ def run_benchmark(suite: str, scale: float, out_path: str, threads: int = 1) -> 
                           k_train=max(cfg.bags, int(cfg.k_train * scale)),
                           k_test=max(2, int(cfg.k_test * scale)))
             started = time.perf_counter()
-            reward_spec = cfg.reward_spec()
-            paths_train = cfg.make_ensemble(TRAIN_LABEL)
-            paths_test = cfg.make_ensemble(TEST_LABEL)
-            stopper = train(paths_train, reward_spec, cfg.train_config(), threads=threads)
-            rep_train = value_of_rule(apply(stopper, paths_train))
-            rep_test = value_of_rule(apply(stopper, paths_test))
+            reports = _run(cfg, save=False)
             elapsed = time.perf_counter() - started
+            rep_test = reports["v_test"]
             fh.write(",".join([
                 str(cfg.dim), _fmt(cfg.x0), _fmt(cfg.sigma), _fmt(cfg.maturity),
                 str(cfg.steps), str(cfg.k_train), str(cfg.k_test),
-                _fmt(rep_train.value), _fmt(rep_test.value), _fmt(rep_test.se),
+                _fmt(reports["v_train"].value), _fmt(rep_test.value), _fmt(rep_test.se),
                 _fmt(cfg.reference), _fmt(rep_test.value - cfg.reference),
                 f"{elapsed:.1f}",
             ]) + "\n")
@@ -232,7 +250,6 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
                    help="override one config field (repeatable)")
     p.add_argument("--seed-train", type=int, default=None)
     p.add_argument("--seed-test", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None, help="output directory")
 
 
@@ -274,7 +291,6 @@ def main(argv=None) -> int:
     p_bench = sub.add_parser("benchmark", help="run a published benchmark grid")
     p_bench.add_argument("suite", choices=SUITES)
     p_bench.add_argument("--scale", type=float, default=1.0)
-    p_bench.add_argument("--threads", type=int, default=1)
     p_bench.add_argument("--out", default="benchmark.csv")
 
     p_oracle = sub.add_parser("oracle", help="discrete-instance oracle cross-check")
@@ -297,46 +313,14 @@ def _dispatch(args) -> int:
         paths = cfg.make_ensemble(args.which)
         dump_csv(paths, os.path.join(cfg.out, f"ensemble_{args.which}.csv"))
     elif args.command == "train":
-        cfg = _resolve(args)
-        os.makedirs(cfg.out, exist_ok=True)
-        with open(os.path.join(cfg.out, "config_resolved.cfg"), "w") as fh:
-            fh.write(cfg.serialize())
-        stopper = train(cfg.make_ensemble(TRAIN_LABEL), cfg.reward_spec(),
-                        cfg.train_config(), threads=args.threads)
-        with open(os.path.join(cfg.out, "stopper.txt"), "w") as fh:
-            fh.write(_provenance(cfg))
-            fh.write(stopper.serialize())
+        _run(_resolve(args), value=False)
     elif args.command == "evaluate":
-        cfg = _resolve(args)
-        os.makedirs(cfg.out, exist_ok=True)
-        with open(args.stopper) as fh:
-            stopper = BaggedStopper.parse(fh.read(), cfg.reward_spec())
-        reward_spec = cfg.reward_spec()
-        paths_train = cfg.make_ensemble(TRAIN_LABEL)
-        paths_test = cfg.make_ensemble(TEST_LABEL)
-        reports = [value_of_rule(apply(stopper, paths_train)),
-                   value_of_rule(apply(stopper, paths_test)),
-                   v_max(paths_test, reward_spec)]
-        if cfg.with_ls:
-            reports.extend(ls_value(paths_train, paths_test, reward_spec))
-        _write_valuation_csv(os.path.join(cfg.out, "valuation.csv"), cfg, reports)
+        _run(_resolve(args), args.stopper)
     elif args.command == "boundary":
-        cfg = _resolve(args)
-        os.makedirs(cfg.out, exist_ok=True)
-        reward_spec = cfg.reward_spec()
-        if args.stopper:
-            with open(args.stopper) as fh:
-                stopper = BaggedStopper.parse(fh.read(), reward_spec)
-        else:
-            stopper = train(cfg.make_ensemble(TRAIN_LABEL), reward_spec,
-                            cfg.train_config(), threads=args.threads)
-        paths_test = cfg.make_ensemble(TEST_LABEL)
-        res = apply(stopper, paths_test)
-        theoretical = _load_theoretical(args.theoretical) if args.theoretical else None
-        scatter = extract_boundary(res, paths_test, theoretical)
-        _write_boundary_csv(cfg.out, cfg, scatter)
+        _run(_resolve(args), args.stopper, value=False, save=False, boundary=True,
+             boundary_file=args.theoretical)
     elif args.command == "benchmark":
-        run_benchmark(args.suite, args.scale, args.out, threads=args.threads)
+        run_benchmark(args.suite, args.scale, args.out)
     elif args.command == "oracle":
         run_oracle(args.seed, args.instances, args.out)
     return 0

@@ -116,10 +116,6 @@ class PathEnsemble:
         self.data.setflags(write=False)
         self.initial.setflags(write=False)
 
-    @property
-    def states(self) -> np.ndarray:
-        return self.data
-
     def state_at(self, n: int) -> np.ndarray:
         """(K, D) cross-section of all paths at step n."""
         return self.data[:, n, :]

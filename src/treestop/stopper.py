@@ -13,9 +13,9 @@ bag trees vote STOP; step N stops unconditionally.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import hashlib
+import re
 
 import numpy as np
 
@@ -86,6 +86,7 @@ class BaggedStopper:
 
     @classmethod
     def parse(cls, text: str, reward_spec: RewardSpec) -> "BaggedStopper":
+        """Parse a ``serialize`` dump; ValueError names a malformed line or key."""
         # leading '#' lines are provenance comments added by the CLI
         lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
         if not lines or lines[0].strip() != "stopper v1":
@@ -93,26 +94,35 @@ class BaggedStopper:
         header = {}
         i = 1
         while i < len(lines) and not lines[i].startswith("begintree"):
-            key, val = lines[i].split(maxsplit=1)
+            key, _, val = lines[i].partition(" ")
             header[key] = val
             i += 1
+        for key in ("bags", "steps", "feature_mode", "reward_hash"):
+            if key not in header:
+                raise ValueError(f"stopper dump header has no {key!r} line")
+            if key in ("bags", "steps") and not (header[key].isdigit() and int(header[key]) > 0):
+                raise ValueError(f"stopper dump header {key!r} is not a positive count")
         if header["reward_hash"] != reward_hash(reward_spec):
             raise ValueError("stopper was trained for a different reward spec")
         bags, steps = int(header["bags"]), int(header["steps"])
+        found = sum(ln.startswith("begintree") for ln in lines[i:])
+        if found != bags * steps:
+            raise ValueError(f"stopper dump has {found} trees, header declares {bags} x {steps}")
         trees = [[None] * steps for _ in range(bags)]
         while i < len(lines):
-            head = lines[i].split()
-            meta = dict(part.split("=") for part in head[1:])
-            b, n = int(meta["bag"]), int(meta["step"])
-            i += 1
-            block = []
-            while lines[i].strip() != "endtree":
-                block.append(lines[i])
-                i += 1
-            i += 1
-            trees[b][n] = CartTree.from_text("\n".join(block))
-        if any(t is None for row in trees for t in row):
-            raise ValueError("stopper dump is missing trees")
+            head = lines[i].strip()
+            m = re.fullmatch(r"begintree bag=(\d+) step=(\d+)", head)
+            b, n = (int(m[1]), int(m[2])) if m else (bags, steps)
+            if b >= bags or n >= steps or trees[b][n] is not None:
+                raise ValueError(f"bad tree header {head!r}")
+            end = next((j for j in range(i + 1, len(lines)) if lines[j].strip() == "endtree"), None)
+            if end is None:
+                raise ValueError(f"stopper dump ends inside {head!r}")
+            try:
+                trees[b][n] = CartTree.from_text("\n".join(lines[i + 1:end]))
+            except ValueError as exc:
+                raise ValueError(f"{head}: {exc}") from None
+            i = end + 1
         return cls(trees, header["feature_mode"], reward_spec, steps)
 
     def content_hash(self) -> str:
@@ -164,14 +174,13 @@ def bag_deltas(u_at_tau: np.ndarray, u_now: np.ndarray, bag_rows: np.ndarray, K:
     return (u_at_tau[bag_rows] - u_now[bag_rows]) / K
 
 
-def train(paths: PathEnsemble, reward_spec: RewardSpec, config: TrainConfig,
-          threads: int = 1) -> BaggedStopper:
+def train(paths: PathEnsemble, reward_spec: RewardSpec, config: TrainConfig) -> BaggedStopper:
     """Fit the bagged stopper on a training ensemble.
 
     Paths are shuffled with a seeded Philox stream, truncated to a multiple of
     the bag count, and cut into contiguous equally sized bags.  Steps run
-    strictly backward; within a step the bag trees are independent (grown
-    concurrently when ``threads`` > 1, with identical results).
+    strictly backward.  Within a step each bag grows its tree in turn, then
+    the leave-one-bag-out vote moves each path's continuation stop.
     """
     _check_compat(paths, reward_spec, config.feature_mode)
     B = config.bags
@@ -198,39 +207,23 @@ def train(paths: PathEnsemble, reward_spec: RewardSpec, config: TrainConfig,
     u_at_tau = reward(reward_spec, N, paths.state_at(N))
     trees = [[None] * N for _ in range(B)]
 
-    def grow_bag(args):
-        b, feats_n, u_n = args
-        rows = bag_rows[b]
-        deltas = bag_deltas(u_at_tau, u_n, rows, K)
-        samples = removal(feats_n[rows], deltas)
-        return b, grow(samples, config.grow)
-
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        for n in range(N - 1, -1, -1):
-            feats_n = features(config.feature_mode, reward_spec, n, paths.state_at(n))
-            u_n = reward(reward_spec, n, paths.state_at(n))
-            jobs = [(b, feats_n, u_n) for b in range(B)]
-            if pool is not None:
-                results = list(pool.map(grow_bag, jobs))
-            else:
-                results = [grow_bag(j) for j in jobs]
-            for b, tree in results:
-                trees[b][n] = tree
-            # leave-one-out update of each bag's continuation stop
-            votes = np.zeros(used.shape[0], dtype=np.int32)
-            own_vote = np.zeros(used.shape[0], dtype=np.int32)
-            fu = feats_n[used]
-            for b in range(B):
-                pred = trees[b][n].predict(fu)
-                votes += pred
-                own_vote[own == b] = pred[own == b]
-            stop = loo_stop_mask(votes, own_vote, B)
-            rows = used[stop]
-            u_at_tau[rows] = u_n[rows]
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for n in range(N - 1, -1, -1):
+        feats_n = features(config.feature_mode, reward_spec, n, paths.state_at(n))
+        u_n = reward(reward_spec, n, paths.state_at(n))
+        for b, rows in enumerate(bag_rows):
+            samples = removal(feats_n[rows], bag_deltas(u_at_tau, u_n, rows, K))
+            trees[b][n] = grow(samples, config.grow)
+        # leave-one-out update of each bag's continuation stop
+        votes = np.zeros(used.shape[0], dtype=np.int32)
+        own_vote = np.zeros(used.shape[0], dtype=np.int32)
+        fu = feats_n[used]
+        for b in range(B):
+            pred = trees[b][n].predict(fu)
+            votes += pred
+            own_vote[own == b] = pred[own == b]
+        stop = loo_stop_mask(votes, own_vote, B)
+        rows = used[stop]
+        u_at_tau[rows] = u_n[rows]
 
     return BaggedStopper(trees, config.feature_mode, reward_spec, N)
 

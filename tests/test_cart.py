@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treestop.cart import (
+    DELTA,
+    PROTOTYPE,
     CartTree,
     GrowConfig,
     Leaf,
@@ -140,6 +142,19 @@ def test_delta_split_matches_exhaustive_enumeration(case):
         assert got == Split(dim, thr)
 
 
+@settings(max_examples=200, deadline=None)
+@given(sample_sets(), st.sampled_from([DELTA, PROTOTYPE]), st.integers(1, 4))
+def test_grow_root_matches_standalone_split(case, splitter, max_depth):
+    # without size caps the root of a grown tree is the standalone decision
+    s = removal(*case)
+    tree = grow(s, GrowConfig(max_depth=max_depth, min_node_size=1, splitter=splitter))
+    expected = (delta_split if splitter == DELTA else prototype_split)(s)
+    if tree.feature[0] < 0:
+        assert expected == Leaf(int(tree.leaf_weight[0]))
+    else:
+        assert expected == Split(int(tree.feature[0]), float(tree.threshold[0]))
+
+
 # ---------------------------------------------------------------------------
 # grow / predict
 # ---------------------------------------------------------------------------
@@ -225,13 +240,6 @@ def test_grow_config_validation():
         GrowConfig(min_node_size=0)
     with pytest.raises(ValueError):
         GrowConfig(splitter="gini")
-
-
-def test_functional_predict_alias():
-    from treestop.cart import predict
-
-    tree = CartTree.single_leaf(1, 2)
-    assert predict(tree, np.array([0.0, 0.0])) == 1
 
 
 def test_text_round_trip():

@@ -159,6 +159,20 @@ def test_train_then_evaluate_subcommands(tmp_path):
     assert "v_test," in text and "v_max," in text
 
 
+def test_train_then_evaluate_match_run_experiment(tmp_path):
+    out = tmp_path / "run"
+    common = ["--set", "k_train=300", "--set", "k_test=300", "--set", "steps=5",
+              "--set", "bags=3", "--set", "x0=95", "--set", "with_ls=true",
+              "--out", str(out)]
+    assert main(["train", *common]) == 0
+    assert main(["evaluate", "--stopper", str(out / "stopper.txt"), *common]) == 0
+    names = ("config_resolved.cfg", "stopper.txt", "valuation.csv")
+    from_cli = {n: (out / n).read_bytes() for n in names}
+    run_experiment(parse_config_text((out / "config_resolved.cfg").read_text()))
+    for n in names:
+        assert (out / n).read_bytes() == from_cli[n], n
+
+
 def test_boundary_subcommand_with_theoretical_file(tmp_path):
     theo = tmp_path / "theo.csv"
     theo.write_text("n,b\n" + "\n".join(f"{n},86.0" for n in range(7)))
@@ -182,6 +196,17 @@ def test_missing_stopper_file_exits_nonzero(tmp_path):
     rc = main(["evaluate", "--stopper", str(tmp_path / "missing.txt"),
                "--out", str(tmp_path)])
     assert rc == 2
+
+
+def test_truncated_stopper_file_exits_with_error(tmp_path, capsys):
+    common = ["--set", "k_train=60", "--set", "k_test=60", "--set", "steps=3",
+              "--set", "bags=2", "--out", str(tmp_path)]
+    assert main(["train", *common]) == 0
+    dump = tmp_path / "stopper.txt"
+    text = dump.read_text()
+    dump.write_text(text[: text.rindex("endtree")])
+    assert main(["evaluate", "--stopper", str(dump), *common]) == 2
+    assert capsys.readouterr().err.startswith("error: stopper dump ends inside")
 
 
 def test_oracle_subcommand_all_equal(tmp_path):

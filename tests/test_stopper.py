@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -150,13 +152,6 @@ def test_training_is_deterministic():
     assert a.serialize() == b.serialize()
 
 
-def test_threaded_training_matches_serial():
-    paths = small_put_ensemble(num_paths=150, seed=17)
-    cfg = TrainConfig(3, GrowConfig(max_depth=4), "raw", 11)
-    assert train(paths, PUT4, cfg).serialize() == \
-        train(paths, PUT4, cfg, threads=2).serialize()
-
-
 def test_too_few_paths_rejected():
     paths = small_put_ensemble(num_paths=5)
     with pytest.raises(ValueError):
@@ -253,3 +248,41 @@ def test_parse_rejects_wrong_reward_spec():
     other = RewardSpec("put", 0.01, 100.0, 1.0, 4)
     with pytest.raises(ValueError):
         BaggedStopper.parse(stopper.serialize(), other)
+
+
+def split_dump():
+    # a 2-bag, 4-step dump whose first tree splits at 1.0 and the rest are leaves
+    stopper = constant_stopper(0, 2, 4, PUT4)
+    stopper.trees[0][0] = CartTree([0, -1, -1], [1.0, 0.0, 0.0], [1, -1, -1],
+                                   [2, -1, -1], [-1, 1, 0], 1)
+    return stopper.serialize()
+
+
+MALFORMED_DUMPS = {
+    "truncated": (lambda t: t[: t.rindex("endtree")], "ends inside 'begintree bag=1 step=3'"),
+    "no reward_hash": (lambda t: "\n".join(ln for ln in t.splitlines()
+                                           if not ln.startswith("reward_hash")), "reward_hash"),
+    "bad bag count": (lambda t: t.replace("bags 2", "bags two"), "bags"),
+    "missing tree": (lambda t: t[: t.rindex("begintree")], "7 trees"),
+    "bag out of range": (lambda t: t.replace("bag=1 step=3", "bag=2 step=3"), "bag=2 step=3"),
+    "leaf weight 3": (lambda t: t.replace("0 leaf 0", "0 leaf 3"), "0 leaf 3"),
+    "node index out of range": (lambda t: t.replace("1 leaf 1", "5 leaf 1"), "5 leaf 1"),
+    "child out of range": (lambda t: t.replace("0 split 0 1.0 1 2", "0 split 0 1.0 1 9"),
+                           "0 split 0 1.0 1 9"),
+    "child cycle": (lambda t: t.replace("0 split 0 1.0 1 2", "0 split 0 1.0 0 2"),
+                    "0 split 0 1.0 0 2"),
+    "feature out of range": (lambda t: t.replace("0 split 0 1.0 1 2", "0 split 1 1.0 1 2"),
+                             "0 split 1 1.0 1 2"),
+    "node count": (lambda t: t.replace("tree nodes=3", "tree nodes=4"), "4 nodes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DUMPS))
+def test_parse_rejects_malformed_dump(case):
+    text = split_dump()
+    assert BaggedStopper.parse(text, PUT4).serialize() == text
+    mutate, named = MALFORMED_DUMPS[case]
+    bad = mutate(text)
+    assert bad != text
+    with pytest.raises(ValueError, match=re.escape(named)):
+        BaggedStopper.parse(bad, PUT4)
