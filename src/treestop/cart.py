@@ -225,6 +225,12 @@ class CartTree:
     Nodes live in parallel arrays; ``feature[i] == -1`` marks a leaf whose
     weight is ``leaf_weight[i]``.  Internal nodes route x left iff
     x[feature[i]] <= threshold[i].
+
+    ``predict`` evaluates a matrix by partition traversal: a stack of (node,
+    row indices) pairs starts with the root holding every row; an internal
+    node compares only its own rows on its split column and pushes the two
+    halves, and a leaf assigns its weight to its rows.  Each row is compared
+    once per node on its root-to-leaf path and nowhere else.
     """
 
     __slots__ = ("feature", "threshold", "left", "right", "leaf_weight", "n_features")
@@ -262,24 +268,26 @@ class CartTree:
         return out
 
     def predict(self, x) -> int | np.ndarray:
-        """Leaf weight reached by x (a feature vector or a (K, d) matrix)."""
+        """Leaf weight reached by x: an ``int`` for a feature vector, a (K,)
+        int8 array for a (K, d) matrix.  Rows are routed by partition (see the
+        class docstring)."""
         arr = np.asarray(x, dtype=float)
         single = arr.ndim == 1
         if single:
             arr = arr.reshape(1, -1)
         if arr.ndim != 2 or arr.shape[1] != self.n_features:
             raise ValueError(f"expected feature dim {self.n_features}, got shape {arr.shape}")
-        node = np.zeros(arr.shape[0], dtype=np.int32)
-        rows = np.arange(arr.shape[0])
-        while True:
-            internal = self.feature[node] >= 0
-            if not internal.any():
-                break
-            feat = np.where(internal, self.feature[node], 0)
-            go_left = arr[rows, feat] <= self.threshold[node]
-            nxt = np.where(go_left, self.left[node], self.right[node])
-            node = np.where(internal, nxt, node)
-        out = self.leaf_weight[node].astype(np.int8)
+        out = np.empty(arr.shape[0], dtype=np.int8)
+        stack = [(0, np.arange(arr.shape[0]))]
+        while stack:
+            node, rows = stack.pop()
+            f = self.feature[node]
+            if f < 0:
+                out[rows] = self.leaf_weight[node]
+            elif rows.shape[0]:
+                go_left = arr[rows, f] <= self.threshold[node]
+                stack.append((self.right[node], rows[~go_left]))
+                stack.append((self.left[node], rows[go_left]))
         return int(out[0]) if single else out
 
     def to_text(self) -> str:

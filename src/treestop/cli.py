@@ -83,15 +83,32 @@ def _write_boundary_csv(out_dir, cfg, scatter) -> None:
             fh.write(f"{n},{mean_s},{scatter.counts[n]}\n")
 
 
-def _load_theoretical(path) -> np.ndarray:
+def _load_theoretical(path, steps: int) -> np.ndarray:
+    """Read a ``n,b(n)`` boundary CSV into levels for steps 0..N, NaN where absent.
+
+    Blank lines, ``#`` comments and a header starting ``n,`` are skipped.  A
+    ValueError names the file line that is malformed, negative or repeated,
+    and reports a file with no data rows or no row for step N.
+    """
     rows = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("n,"):
                 continue
-            n_s, b_s = line.split(",")[:2]
-            rows[int(n_s)] = float(b_s)
+            fields = line.split(",")
+            try:
+                n, b = int(fields[0]), float(fields[1])
+            except (IndexError, ValueError):
+                raise ValueError(f"{path} line {lineno}: expected 'n,b(n)', got {line!r}") from None
+            if n < 0 or n in rows:
+                problem = "is negative" if n < 0 else "repeats an earlier line"
+                raise ValueError(f"{path} line {lineno}: step {n} {problem}")
+            rows[n] = b
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    if max(rows) < steps:
+        raise ValueError(f"{path}: last row is step {max(rows)}, the config needs steps 0..{steps}")
     out = np.full(max(rows) + 1, np.nan)
     for n, b in rows.items():
         out[n] = b
@@ -110,6 +127,7 @@ def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = T
     against ``boundary_file`` when given.  Returns the reports keyed by kind.
     """
     fit = stopper_file is None
+    theoretical = _load_theoretical(boundary_file, cfg.steps) if boundary_file else None
     if save or boundary:
         os.makedirs(cfg.out, exist_ok=True)
     if fit and save:
@@ -140,7 +158,6 @@ def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = T
                 reports.extend(ls_value(paths_train, paths_test, reward_spec))
             _write_valuation_csv(os.path.join(cfg.out, "valuation.csv"), cfg, reports)
     if boundary:
-        theoretical = _load_theoretical(boundary_file) if boundary_file else None
         _write_boundary_csv(cfg.out, cfg, extract_boundary(res_test, paths_test, theoretical))
     return {rep.kind: rep for rep in reports}
 

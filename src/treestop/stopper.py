@@ -56,12 +56,16 @@ class BaggedStopper:
         if any(len(row) != num_steps for row in trees):
             raise ValueError("need one tree per bag per decision step")
 
+    def bag_predictions(self, n: int, feats: np.ndarray) -> np.ndarray:
+        """(B, K) int8 STOP votes of each bag's step-n tree on the feature rows."""
+        preds = np.empty((self.bags, feats.shape[0]), dtype=np.int8)
+        for b in range(self.bags):
+            preds[b] = self.trees[b][n].predict(feats)
+        return preds
+
     def step_votes(self, n: int, feats: np.ndarray) -> np.ndarray:
         """(K,) count of bag trees voting STOP at step n for each feature row."""
-        votes = np.zeros(feats.shape[0], dtype=np.int32)
-        for b in range(self.bags):
-            votes += self.trees[b][n].predict(feats)
-        return votes
+        return self.bag_predictions(n, feats).sum(axis=0, dtype=np.int32)
 
     def step_rule(self, n: int, feats: np.ndarray) -> np.ndarray:
         """Boolean g_n over feature rows (full-bag average projected at 1/2)."""
@@ -205,27 +209,23 @@ def train(paths: PathEnsemble, reward_spec: RewardSpec, config: TrainConfig) -> 
     # continuation stop is carried along instead of materialising a K x (N+1)
     # matrix.
     u_at_tau = reward(reward_spec, N, paths.state_at(N))
-    trees = [[None] * N for _ in range(B)]
+    stopper = BaggedStopper([[None] * N for _ in range(B)], config.feature_mode,
+                            reward_spec, N)
+    columns = np.arange(used.shape[0])
 
     for n in range(N - 1, -1, -1):
         feats_n = features(config.feature_mode, reward_spec, n, paths.state_at(n))
         u_n = reward(reward_spec, n, paths.state_at(n))
         for b, rows in enumerate(bag_rows):
             samples = removal(feats_n[rows], bag_deltas(u_at_tau, u_n, rows, K))
-            trees[b][n] = grow(samples, config.grow)
+            stopper.trees[b][n] = grow(samples, config.grow)
         # leave-one-out update of each bag's continuation stop
-        votes = np.zeros(used.shape[0], dtype=np.int32)
-        own_vote = np.zeros(used.shape[0], dtype=np.int32)
-        fu = feats_n[used]
-        for b in range(B):
-            pred = trees[b][n].predict(fu)
-            votes += pred
-            own_vote[own == b] = pred[own == b]
-        stop = loo_stop_mask(votes, own_vote, B)
+        preds = stopper.bag_predictions(n, feats_n[used])
+        stop = loo_stop_mask(preds.sum(axis=0, dtype=np.int32), preds[own, columns], B)
         rows = used[stop]
         u_at_tau[rows] = u_n[rows]
 
-    return BaggedStopper(trees, config.feature_mode, reward_spec, N)
+    return stopper
 
 
 def apply(stopper: BaggedStopper, paths: PathEnsemble) -> StopResult:

@@ -233,6 +233,39 @@ def test_prototype_attains_training_minimum(case):
     assert achieved == np.sum(np.minimum(s.weight, 0.0))
 
 
+def walk(tree, x):
+    """Reference: the leaf weight one feature vector reaches, node by node."""
+    i = 0
+    while tree.feature[i] >= 0:
+        i = tree.left[i] if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
+    return int(tree.leaf_weight[i])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 40), st.integers(1, 4), st.integers(0, 2**32),
+       st.sampled_from([DELTA, PROTOTYPE]), st.integers(0, 6), st.integers(1, 8))
+def test_predict_matches_per_row_walk(m, d, seed, splitter, max_depth, min_node_size):
+    rng = np.random.Generator(np.random.Philox(seed))
+    s = removal(np.round(rng.uniform(-5, 5, size=(m, d)), 1), rng.normal(size=m))
+    tree = grow(s, GrowConfig(max_depth, min_node_size, splitter))
+    # probe every column with the training values, each threshold on it and
+    # the threshold's float neighbours, then repeat some rows
+    candidates = []
+    for f in range(d):
+        thr = tree.threshold[tree.feature == f]
+        candidates.append(np.concatenate([s.points[:, f], thr, np.nextafter(thr, -np.inf),
+                                          np.nextafter(thr, np.inf)]))
+    probes = np.column_stack([rng.choice(c, size=200) for c in candidates])
+    probes = np.concatenate([probes, probes[rng.integers(0, 200, size=50)]])
+    preds = tree.predict(probes)
+    assert preds.dtype == np.int8 and preds.shape == (250,)
+    np.testing.assert_array_equal(preds, [walk(tree, x) for x in probes])
+    one = tree.predict(probes[0])
+    assert type(one) is int and one == walk(tree, probes[0])
+    empty = tree.predict(np.zeros((0, d)))
+    assert empty.dtype == np.int8 and empty.shape == (0,)
+
+
 def test_grow_config_validation():
     with pytest.raises(ValueError):
         GrowConfig(max_depth=-1)

@@ -184,6 +184,29 @@ def test_boundary_subcommand_with_theoretical_file(tmp_path):
     assert header == "n,x,path_id,residual"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("n,b\n0,86\n1\n2,86\n", "line 3: expected 'n,b(n)'"),
+    ("n,b\n# no data\n\n", "no data rows"),
+    ("n,b\n0,86\n-1,90\n1,86\n", "line 3: step -1 is negative"),
+    ("n,b\n0,86\n1,86\n1,87\n2,86\n", "line 4: step 1 repeats"),
+    ("n,b\n0,86\n1,86\n", "last row is step 1, the config needs steps 0..2"),
+], ids=["one_column", "no_rows", "negative_step", "duplicate_step", "short"])
+def test_bad_theoretical_file_fails_before_simulating(tmp_path, capsys, monkeypatch,
+                                                      text, message):
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("an ensemble was built before the file was checked")
+
+    monkeypatch.setattr(ExperimentConfig, "make_ensemble", no_ensemble)
+    theo = tmp_path / "theo.csv"
+    theo.write_text(text)
+    rc = main(["boundary", "--set", "steps=2", "--theoretical", str(theo),
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_invalid_config_exits_nonzero(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("steps = not_a_number\n")

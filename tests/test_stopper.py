@@ -96,6 +96,40 @@ def test_first_hit_consistency_and_decomposition():
     assert np.array_equal((f * np.arange(N + 1)).sum(axis=1).astype(int), res.stop_step)
 
 
+@pytest.mark.parametrize("bags", [3, 4])
+def test_apply_is_first_hit_majority_of_single_vector_votes(bags):
+    # brute force: walk each path's steps, polling every bag tree on one
+    # feature vector at a time, and stop at the first half-or-more STOP vote
+    spec = GbmSpec.symmetric(2, 100.0, -0.05, 0.3, 1.0, 4)
+    paths = generate_gbm(spec, 120, seed=5)
+    rspec = RewardSpec("max_call", 0.05, 100.0, 1.0, 4)
+    cfg = TrainConfig(bags, GrowConfig(max_depth=3, min_node_size=4), "four_features", 6)
+    stopper = train(paths, rspec, cfg)
+    test = generate_gbm(spec, 150, seed=6, label="test")
+    res = apply(stopper, test)
+
+    N = test.num_steps
+    stop_step = np.full(test.num_paths, N)
+    for k in range(test.num_paths):
+        for n in range(N):
+            x = features("four_features", rspec, n, test.state_at(n)[k])
+            if sum(stopper.trees[b][n].predict(x) for b in range(bags)) * 2 >= bags:
+                stop_step[k] = n
+                break
+    realized = [reward(rspec, stop_step[k], test.state_at(stop_step[k])[k])
+                for k in range(test.num_paths)]
+    np.testing.assert_array_equal(res.stop_step, stop_step)
+    np.testing.assert_array_equal(res.realized, realized)
+    np.testing.assert_array_equal(res.counts, np.bincount(stop_step, minlength=N + 1))
+    assert 0 < res.counts[N] < test.num_paths
+
+    for n in range(N):
+        feats = features("four_features", rspec, n, test.state_at(n))
+        preds = [stopper.trees[b][n].predict(feats) for b in range(bags)]
+        np.testing.assert_array_equal(stopper.bag_predictions(n, feats), preds)
+        np.testing.assert_array_equal(stopper.step_votes(n, feats), np.sum(preds, axis=0))
+
+
 def test_apply_rejects_mismatched_ensembles():
     paths = small_put_ensemble()
     stopper = constant_stopper(0, 2, 4, PUT4)
