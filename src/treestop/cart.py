@@ -7,6 +7,11 @@ becomes one sample with the group-average delta and multiplicity m.  All
 score and leaf-sign computations then use the effective per-point weight
 m * delta, which preserves weighted sums over the original data.
 
+``removal`` sorts each dim of the input once, stably.  Duplicates are found
+from those sorts (ties go to the first occurrence), and the same sorts,
+filtered to the merged rows, become the samples' per-dim ``orders`` that
+``grow`` partitions down the tree without sorting again.
+
 Two split finders ship:
 
 * ``prototype_split`` always splits multi-point nodes at the position whose
@@ -37,18 +42,23 @@ class DeltaSamples:
     points: (m, d) array of pairwise-distinct rows, first-occurrence order.
     delta:  (m,) group-average increments.
     mult:   (m,) group sizes (1 unless duplicates were merged).
+    orders: d index arrays; orders[j] lists 0..m-1 sorted by (points[:, j],
+            row index), the root orderings ``grow`` filters down the tree.
     """
 
     points: np.ndarray
     delta: np.ndarray
     mult: np.ndarray
+    orders: tuple
 
     def __post_init__(self):
         if self.points.ndim != 2:
             raise ValueError("points must be a (m, d) matrix")
-        m = self.points.shape[0]
+        m, d = self.points.shape
         if self.delta.shape != (m,) or self.mult.shape != (m,):
             raise ValueError("delta/mult length must match points")
+        if len(self.orders) != d or any(o.shape != (m,) for o in self.orders):
+            raise ValueError("need one length-m order per dim")
         if m and self.mult.min() < 1:
             raise ValueError("multiplicities must be >= 1")
 
@@ -68,10 +78,17 @@ class DeltaSamples:
 def removal(points, deltas) -> DeltaSamples:
     """Merge duplicate points, averaging their deltas and recording group size.
 
-    Grouping is by exact equality of the full point vector; output order is
+    Grouping is by exact equality of the full point vector (so 0.0 equals
+    -0.0); each group keeps its first occurrence's point, and output order is
     the order of first occurrence.  For any {0,1} function g evaluated on the
     output, sum(mult * delta * g(point)) equals the weighted sum over the
     unmerged input.
+
+    Every dim is sorted once, stably.  A row can equal another only if it ties
+    a neighbour in every dim's order, so only those candidate rows are grouped
+    by a lexsort.  Group sums accumulate in input row order.  The per-dim
+    sorts, filtered to the kept rows, are the merged samples' ``orders``: a
+    merged index grows with the original one, so ties stay in index order.
     """
     pts = np.asarray(points, dtype=float)
     dl = np.asarray(deltas, dtype=float)
@@ -79,14 +96,33 @@ def removal(points, deltas) -> DeltaSamples:
         pts = pts.reshape(-1, 1)
     if pts.shape[0] != dl.shape[0]:
         raise ValueError("points and deltas must have equal length")
-    if pts.shape[0] == 0:
-        return DeltaSamples(pts.reshape(0, max(pts.shape[1], 1)), dl, np.zeros(0, dtype=np.int64))
-    uniq, first, inverse, counts = np.unique(
-        pts, axis=0, return_index=True, return_inverse=True, return_counts=True
-    )
-    sums = np.bincount(inverse, weights=dl, minlength=uniq.shape[0])
-    order = np.argsort(first, kind="stable")
-    return DeltaSamples(uniq[order], (sums / counts)[order], counts[order].astype(np.int64))
+    m, dims = pts.shape
+    orders = [np.argsort(pts[:, d], kind="stable") for d in range(dims)]
+    candidate = np.ones(m, dtype=bool)
+    for d, order in enumerate(orders):
+        vals = pts[order, d]
+        ties = vals[1:] == vals[:-1]
+        tied = np.zeros(m, dtype=bool)
+        tied[1:] = ties
+        tied[:-1] |= ties
+        candidate[order] &= tied
+    # first[i]: the first row equal to row i (row i itself unless duplicated)
+    first = np.arange(m)
+    rows = np.flatnonzero(candidate)
+    if rows.shape[0]:
+        # lexsort is stable, so each group lists its rows in input order
+        rows = rows[np.lexsort(pts[rows].T[::-1])]
+        grouped = pts[rows]
+        starts = np.ones(rows.shape[0], dtype=bool)
+        starts[1:] = np.any(grouped[1:] != grouped[:-1], axis=1)
+        first[rows] = rows[starts][np.cumsum(starts) - 1]
+    keep = first == np.arange(m)
+    merged = np.cumsum(keep) - 1
+    label = merged[first]
+    counts = np.bincount(label)
+    sums = np.bincount(label, weights=dl)
+    return DeltaSamples(pts[keep], sums / counts, counts.astype(np.int64, copy=False),
+                        tuple(merged[o[keep[o]]] for o in orders))
 
 
 @dataclass(frozen=True)
@@ -144,11 +180,6 @@ def _scan(points: np.ndarray, weight: np.ndarray, orders, total: float):
     return best
 
 
-def _full_orders(samples: DeltaSamples) -> list[np.ndarray]:
-    idx = np.arange(len(samples))
-    return [np.lexsort((idx, samples.points[:, d])) for d in range(samples.dim)]
-
-
 def _decide(points: np.ndarray, weight: np.ndarray, rows: np.ndarray, orders,
             total: float, prototype: bool):
     """Leaf-or-split decision for one node: the split rule of both splitters.
@@ -177,7 +208,7 @@ def _root_decision(samples: DeltaSamples, prototype: bool) -> Split | Leaf:
     if len(samples) == 0:
         raise ValueError("empty sample set")
     decision, _, _ = _decide(samples.points, samples.weight, np.arange(len(samples)),
-                             _full_orders(samples), float(np.sum(samples.weight)), prototype)
+                             samples.orders, float(np.sum(samples.weight)), prototype)
     return decision
 
 
@@ -384,10 +415,10 @@ def grow(samples: DeltaSamples, config: GrowConfig) -> CartTree:
     proto = config.splitter == PROTOTYPE
     builder = _Builder()
 
-    # Per-dim sample orderings (coordinate, then sample index) are computed
-    # once at the root and filtered through partitions, never re-sorted.  Each
-    # node also carries its rows in original sample order so weight totals
-    # accumulate exactly as in the standalone split functions.
+    # Per-dim sample orderings (coordinate, then sample index) come from
+    # ``removal``'s sorts and are filtered through partitions, never re-sorted.
+    # Each node also carries its rows in original sample order so weight
+    # totals accumulate exactly as in the standalone split functions.
     member = np.empty(len(samples), dtype=bool)
 
     def build(rows, rows_orders, depth: int) -> int:
@@ -408,7 +439,7 @@ def grow(samples: DeltaSamples, config: GrowConfig) -> CartTree:
         builder.right[node_id] = build(*children[1], depth + 1)
         return node_id
 
-    root = build(np.arange(len(samples)), _full_orders(samples), 0)
+    root = build(np.arange(len(samples)), samples.orders, 0)
     assert root == 0
     return CartTree(
         builder.feature, builder.threshold, builder.left, builder.right,

@@ -84,3 +84,25 @@ def deterministic_best_stop(rewards):
         if rewards[n] >= later:
             return n, rewards[n]
     return n_last, rewards[n_last]
+
+
+def unique_removal(points, deltas):
+    """Duplicate merge by ``np.unique(axis=0)``: the reference for ``removal``.
+
+    Groups rows by exact equality (0.0 equals -0.0), keeps each group's first
+    occurrence and returns (points, delta, mult) in first-occurrence order,
+    delta being the group sum, accumulated in input order, over the group
+    size.
+    """
+    pts = np.asarray(points, dtype=float)
+    dl = np.asarray(deltas, dtype=float)
+    if pts.ndim == 1:
+        pts = pts.reshape(-1, 1)
+    if pts.shape[0] == 0:
+        return pts.reshape(0, max(pts.shape[1], 1)), dl, np.zeros(0, dtype=np.int64)
+    uniq, first, inverse, counts = np.unique(
+        pts, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    sums = np.bincount(inverse.reshape(-1), weights=dl, minlength=uniq.shape[0])
+    order = np.argsort(first, kind="stable")
+    return uniq[order], (sums / counts)[order], counts[order].astype(np.int64)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treestop.cart import (
@@ -16,7 +16,7 @@ from treestop.cart import (
     removal,
 )
 
-from oracles import brute_force_split
+from oracles import brute_force_split, unique_removal
 
 # Four 2-D points whose mixed increments cancel against the larger total: the
 # size-controlled splitter collapses the root to a single CONTINUE leaf.
@@ -63,6 +63,42 @@ def test_removal_weighted_sum_identity(items):
     for row in range(len(s)):
         group = dl[(pts == s.points[row]).all(axis=1)]
         assert s.weight[row] == pytest.approx(group.sum(), abs=1e-12)
+
+
+@st.composite
+def duplicate_heavy(draw):
+    # a few grid values per coordinate, 0.0 and -0.0 among them, so most rows
+    # repeat; D=1 cases are sometimes passed as a plain vector
+    d = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 40))
+    grid = [0.0, -0.0, 1.0, -2.5][: draw(st.integers(1, 4))]
+    cell = st.sampled_from(grid)
+    rows = draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=m, max_size=m))
+    pts = np.array(rows, dtype=float).reshape(m, d)
+    dl = np.array(draw(st.lists(st.floats(-5, 5), min_size=m, max_size=m)), dtype=float)
+    if d == 1 and draw(st.booleans()):
+        pts = pts[:, 0]
+    return pts, dl
+
+
+@settings(max_examples=400, deadline=None)
+@given(duplicate_heavy())
+@example((np.zeros((0, 3)), np.zeros(0)))
+@example((np.zeros(0), np.zeros(0)))
+@example((np.array([[-0.0, 1.0]]), np.array([0.25])))
+@example((np.array([0.0, -0.0, 0.0, 1.0, -0.0]), np.array([1.0, 2.0, 3.0, 4.0, 5.0])))
+def test_removal_matches_unique_oracle(case):
+    # the sort-based merge is byte-identical to the np.unique(axis=0) merge,
+    # and its orders are the (coordinate, row index) sorts of the merged rows
+    pts, dl = case
+    s = removal(pts, dl)
+    for got, ref in zip((s.points, s.delta, s.mult), unique_removal(pts, dl)):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+    idx = np.arange(len(s))
+    assert len(s.orders) == s.dim
+    for d in range(s.dim):
+        assert np.array_equal(s.orders[d], np.lexsort((idx, s.points[:, d])))
 
 
 # ---------------------------------------------------------------------------
