@@ -23,7 +23,9 @@ Two split finders ship:
   weight is 1 (STOP) for strictly negative total and 0 (CONTINUE) otherwise.
   This is the data-driven size control used throughout training.
 
-Traversal convention: left branch iff x[dim] <= threshold, thresholds are the
+One routing rule serves training and prediction: a split node sends x to its
+left child iff x[dim] <= threshold.  ``grow`` partitions a node's samples by
+that test and ``CartTree.predict`` routes query rows by it; thresholds are the
 left boundary sample value itself.  Leaf weight 1 means STOP, 0 CONTINUE.
 """
 
@@ -89,6 +91,9 @@ def removal(points, deltas) -> DeltaSamples:
     by a lexsort.  Group sums accumulate in input row order.  The per-dim
     sorts, filtered to the kept rows, are the merged samples' ``orders``: a
     merged index grows with the original one, so ties stay in index order.
+
+    A NaN or infinite coordinate or delta raises ValueError: a NaN fails every
+    threshold test, so it could not be routed like the point it was split as.
     """
     pts = np.asarray(points, dtype=float)
     dl = np.asarray(deltas, dtype=float)
@@ -96,6 +101,8 @@ def removal(points, deltas) -> DeltaSamples:
         pts = pts.reshape(-1, 1)
     if pts.shape[0] != dl.shape[0]:
         raise ValueError("points and deltas must have equal length")
+    if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(dl))):
+        raise ValueError("non-finite point or delta entries")
     m, dims = pts.shape
     orders = [np.argsort(pts[:, d], kind="stable") for d in range(dims)]
     candidate = np.ones(m, dtype=bool)
@@ -148,25 +155,26 @@ def _leaf_for(total: float) -> Leaf:
     return Leaf(0 if total >= 0 else 1)
 
 
-def _scan(points: np.ndarray, weight: np.ndarray, orders, total: float):
-    """Best split over all dims and valid positions of one node.
+def _decide(points: np.ndarray, weight: np.ndarray, orders, total: float,
+            prototype: bool) -> Split | Leaf:
+    """Leaf-or-split decision for one node: the split rule of both splitters.
 
     ``orders`` holds, per dim, the node's row indices sorted by (coordinate,
     original sample index); ``total`` is the node's weight sum (accumulated in
-    original sample order, so decisions are reproducible bit for bit).
+    original sample order, so decisions are reproducible bit for bit).  A
+    single row is a leaf.
 
     Positions are valid only where consecutive sorted coordinates strictly
-    increase, so the emitted <=-threshold reproduces the internal partition.
+    increase, so the emitted <=-threshold reproduces the sorted partition.
     Score of a position is max(|prefix weight sum|, |total - prefix|); ties
     are broken by the first strict improvement scanning dims ascending and
-    sorted positions ascending.
-
-    Returns (score, dim, threshold, left_rows, right_rows) or None when no
-    dim has a valid position.  Row arrays index into ``points``.
+    sorted positions ascending.  The delta splitter splits only when the best
+    score strictly exceeds |total|; the prototype splitter always splits.
     """
+    if orders[0].shape[0] == 1:
+        return _leaf_for(total)
     best = None
-    for d in range(points.shape[1]):
-        order = orders[d]
+    for d, order in enumerate(orders):
         vals = points[order, d]
         if vals[0] == vals[-1]:
             continue
@@ -174,42 +182,22 @@ def _scan(points: np.ndarray, weight: np.ndarray, orders, total: float):
         scores = np.maximum(np.abs(prefix), np.abs(total - prefix))
         scores[vals[:-1] >= vals[1:]] = -np.inf
         k = int(np.argmax(scores))
-        s = scores[k]
-        if best is None or s > best[0]:
-            best = (float(s), d, float(vals[k]), order[: k + 1], order[k + 1 :])
-    return best
-
-
-def _decide(points: np.ndarray, weight: np.ndarray, rows: np.ndarray, orders,
-            total: float, prototype: bool):
-    """Leaf-or-split decision for one node: the split rule of both splitters.
-
-    ``rows`` are the node's row indices, ``orders`` its per-dim orders and
-    ``total`` its weight sum (see ``_scan``).  A single row is a leaf.  The
-    delta splitter splits only when the best scan score strictly exceeds
-    |total|; the prototype splitter always splits.
-
-    Returns (Leaf, None, None) or (Split, left_rows, right_rows).
-    """
-    if rows.shape[0] == 1:
-        return _leaf_for(total), None, None
-    best = _scan(points, weight, orders, total)
+        if best is None or scores[k] > best[0]:
+            best = (float(scores[k]), Split(d, float(vals[k])))
     if best is None:
         if prototype:
             raise RuntimeError("no valid split position: points not distinct")
-        return _leaf_for(total), None, None
-    score, dim, thr, left_rows, right_rows = best
-    if not prototype and score <= abs(total):
-        return _leaf_for(total), None, None
-    return Split(dim, thr), left_rows, right_rows
+        return _leaf_for(total)
+    if not prototype and best[0] <= abs(total):
+        return _leaf_for(total)
+    return best[1]
 
 
 def _root_decision(samples: DeltaSamples, prototype: bool) -> Split | Leaf:
     if len(samples) == 0:
         raise ValueError("empty sample set")
-    decision, _, _ = _decide(samples.points, samples.weight, np.arange(len(samples)),
-                             samples.orders, float(np.sum(samples.weight)), prototype)
-    return decision
+    return _decide(samples.points, samples.weight, samples.orders,
+                   float(np.sum(samples.weight)), prototype)
 
 
 def delta_split(samples: DeltaSamples) -> Split | Leaf:
@@ -374,74 +362,45 @@ class CartTree:
         return cls(feature, threshold, left, right, weight, n_features)
 
 
-class _Builder:
-    def __init__(self):
-        self.feature = []
-        self.threshold = []
-        self.left = []
-        self.right = []
-        self.weight = []
-
-    def add_leaf(self, w: int) -> int:
-        i = len(self.feature)
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.weight.append(w)
-        return i
-
-    def add_split(self, dim: int, thr: float) -> int:
-        i = len(self.feature)
-        self.feature.append(dim)
-        self.threshold.append(thr)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.weight.append(-1)
-        return i
-
-
 def grow(samples: DeltaSamples, config: GrowConfig) -> CartTree:
     """Recursively apply the configured splitter to build a tree.
 
     A node is forced to a leaf (weight by the sign of its total weight) when
     it sits at max_depth or holds fewer than min_node_size samples; otherwise
-    the splitter decides.  Children receive the sorted partition's subsets.
+    the splitter decides.  A split node sends its rows with x[dim] <= threshold
+    to the left child, the rule ``CartTree.predict`` routes by.
     """
     if len(samples) == 0:
         raise ValueError("empty sample set")
     points = samples.points
     weight = samples.weight
     proto = config.splitter == PROTOTYPE
-    builder = _Builder()
+    nodes = []  # preorder (feature, threshold, left, right, leaf_weight)
+    # side[i] says whether row i goes left; each split writes it for its own
+    # rows only and reads it back for them before either child overwrites it
+    side = np.empty(len(samples), dtype=bool)
 
-    # Per-dim sample orderings (coordinate, then sample index) come from
-    # ``removal``'s sorts and are filtered through partitions, never re-sorted.
-    # Each node also carries its rows in original sample order so weight
-    # totals accumulate exactly as in the standalone split functions.
-    member = np.empty(len(samples), dtype=bool)
-
-    def build(rows, rows_orders, depth: int) -> int:
+    # Each node carries its rows in original sample order, so weight totals
+    # accumulate exactly as in the standalone split functions, and its per-dim
+    # orders, which come from ``removal``'s sorts and are never re-sorted.
+    def build(rows, orders, depth: int) -> int:
+        node = len(nodes)
         total = float(np.sum(weight[rows]))
         if depth >= config.max_depth or rows.shape[0] < config.min_node_size:
-            return builder.add_leaf(_leaf_for(total).weight)
-        decision, left_rows, right_rows = _decide(points, weight, rows, rows_orders,
-                                                  total, proto)
+            decision = _leaf_for(total)
+        else:
+            decision = _decide(points, weight, orders, total, proto)
         if isinstance(decision, Leaf):
-            return builder.add_leaf(decision.weight)
-        node_id = builder.add_split(decision.dim, decision.threshold)
-        children = []
-        for side in (left_rows, right_rows):
-            member[:] = False
-            member[side] = True
-            children.append((rows[member[rows]], [o[member[o]] for o in rows_orders]))
-        builder.left[node_id] = build(*children[0], depth + 1)
-        builder.right[node_id] = build(*children[1], depth + 1)
-        return node_id
+            nodes.append((-1, 0.0, -1, -1, decision.weight))
+            return node
+        nodes.append(None)
+        go_left = points[rows, decision.dim] <= decision.threshold
+        side[rows] = go_left
+        masks = [side[o] for o in orders]
+        left = build(rows[go_left], [o[g] for o, g in zip(orders, masks)], depth + 1)
+        right = build(rows[~go_left], [o[~g] for o, g in zip(orders, masks)], depth + 1)
+        nodes[node] = (decision.dim, decision.threshold, left, right, -1)
+        return node
 
-    root = build(np.arange(len(samples)), samples.orders, 0)
-    assert root == 0
-    return CartTree(
-        builder.feature, builder.threshold, builder.left, builder.right,
-        builder.weight, points.shape[1],
-    )
+    build(np.arange(len(samples)), samples.orders, 0)
+    return CartTree(*zip(*nodes), points.shape[1])

@@ -8,14 +8,15 @@ the real implementations against independently coded logic.
 import numpy as np
 
 
-def brute_force_split(points, weights):
+def brute_force_split(points, weights, always_split=False):
     """Exhaustive split scan over all dims and valid positions.
 
     Mirrors the documented scoring: sort each dim by (coordinate, sample
     index), score each position where the coordinate strictly increases by
     max(|prefix|, |total - prefix|), first strict improvement wins scanning
     dims then positions.  Returns ("leaf", weight) when no score strictly
-    exceeds |total|, else ("split", score, dim, threshold).
+    exceeds |total|, else ("split", score, dim, threshold).  With
+    ``always_split`` (the prototype splitter) any valid position splits.
     """
     points = np.asarray(points, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -31,9 +32,44 @@ def brute_force_split(points, weights):
             score = max(abs(prefix[k]), abs(total - prefix[k]))
             if best is None or score > best[0]:
                 best = (score, d, float(points[order[k], d]))
-    if best is None or best[0] <= abs(total):
+    if best is None or (best[0] <= abs(total) and not always_split):
         return ("leaf", 0 if total >= 0 else 1)
     return ("split", best[0], best[1], best[2])
+
+
+def reference_grow(points, weights, max_depth, min_node_size, always_split=False):
+    """Whole-tree reference for ``grow``, as a ``CartTree.to_text`` dump.
+
+    Nodes are numbered in preorder.  A node at max_depth or with fewer than
+    min_node_size rows is a leaf by the sign of its total; otherwise
+    ``brute_force_split`` on the node's rows (in sample order) decides, and a
+    split sends the rows with point[dim] <= threshold left.
+    """
+    points = np.asarray(points, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    lines = []
+
+    def node(rows, depth):
+        i = len(lines)
+        lines.append(None)
+        total = np.sum(weights[rows])
+        if depth >= max_depth or len(rows) < min_node_size:
+            decision = ("leaf", 0 if total >= 0 else 1)
+        else:
+            decision = brute_force_split(points[rows], weights[rows], always_split)
+        if decision[0] == "leaf":
+            lines[i] = f"{i} leaf {decision[1]}"
+            return i
+        _, _, dim, thr = decision
+        left_rows = [r for r in rows if points[r, dim] <= thr]
+        right_rows = [r for r in rows if not points[r, dim] <= thr]
+        left = node(np.array(left_rows, dtype=int), depth + 1)
+        right = node(np.array(right_rows, dtype=int), depth + 1)
+        lines[i] = f"{i} split {dim} {thr!r} {left} {right}"
+        return i
+
+    node(np.arange(points.shape[0]), 0)
+    return "\n".join([f"tree nodes={len(lines)} features={points.shape[1]}"] + lines)
 
 
 def binomial_bermudan_put(x0, strike, rate, mu, sigma, maturity, exercise_steps,

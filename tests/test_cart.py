@@ -16,7 +16,7 @@ from treestop.cart import (
     removal,
 )
 
-from oracles import brute_force_split, unique_removal
+from oracles import brute_force_split, reference_grow, unique_removal
 
 # Four 2-D points whose mixed increments cancel against the larger total: the
 # size-controlled splitter collapses the root to a single CONTINUE leaf.
@@ -99,6 +99,17 @@ def test_removal_matches_unique_oracle(case):
     assert len(s.orders) == s.dim
     for d in range(s.dim):
         assert np.array_equal(s.orders[d], np.lexsort((idx, s.points[:, d])))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_removal_rejects_non_finite_input(bad):
+    # a NaN coordinate fails every <= test, so it cannot be routed like the
+    # point a split was chosen for; infinite values are refused the same way
+    pts = np.array([[1.0], [bad], [bad], [2.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        removal(pts, np.array([1.0, -1.0, 1.0, -1.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        removal(np.array([[1.0], [2.0]]), np.array([bad, 0.5]))
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +238,14 @@ def test_min_node_size_forces_leaf():
     assert tree.predict(np.array([1.0])) == 1
 
 
+def leaf_of(tree, x):
+    """Reference: the id of the leaf one feature vector reaches, node by node."""
+    i = 0
+    while tree.feature[i] >= 0:
+        i = tree.left[i] if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
+    return i
+
+
 def test_predict_boundary_goes_left():
     tree = CartTree([0, -1, -1], [2.0, 0.0, 0.0], [1, -1, -1], [2, -1, -1],
                     [-1, 1, 0], 1)
@@ -246,16 +265,31 @@ def test_predict_dimension_mismatch():
 
 
 @settings(max_examples=100, deadline=None)
-@given(sample_sets())
-def test_partition_consistency(case):
-    # every training point lands in a leaf whose prediction matches the leaf
-    # the recursive partition assigned it to, and tree paths respect depth
+@given(sample_sets(), st.sampled_from([DELTA, PROTOTYPE]))
+def test_partition_consistency(case, splitter):
+    # routing the training points reaches every leaf, and each leaf's weight
+    # is the sign rule applied to the weight of exactly the points it receives
     pts, dl = case
     s = removal(pts, dl)
-    tree = grow(s, GrowConfig(max_depth=6, min_node_size=1))
+    tree = grow(s, GrowConfig(max_depth=6, min_node_size=1, splitter=splitter))
     assert tree.depth <= 6
-    preds = tree.predict(s.points)
-    assert set(np.unique(preds)) <= {0, 1}
+    reached = np.array([leaf_of(tree, x) for x in s.points])
+    for leaf in np.flatnonzero(tree.feature < 0):
+        rows = np.flatnonzero(reached == leaf)
+        assert rows.shape[0] >= 1
+        assert tree.leaf_weight[leaf] == int(np.sum(s.weight[rows]) < 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(duplicate_heavy().filter(lambda case: len(case[1])), st.sampled_from([DELTA, PROTOTYPE]),
+       st.integers(0, 6), st.integers(1, 8))
+def test_grow_matches_reference_tree(case, splitter, max_depth, min_node_size):
+    # ties and +-0.0 on every coordinate exercise the valid-position rule
+    s = removal(*case)
+    tree = grow(s, GrowConfig(max_depth, min_node_size, splitter))
+    expected = reference_grow(s.points, s.weight, max_depth, min_node_size,
+                              always_split=splitter == PROTOTYPE)
+    assert tree.to_text().splitlines() == expected.splitlines()
 
 
 @settings(max_examples=150, deadline=None)
@@ -271,10 +305,7 @@ def test_prototype_attains_training_minimum(case):
 
 def walk(tree, x):
     """Reference: the leaf weight one feature vector reaches, node by node."""
-    i = 0
-    while tree.feature[i] >= 0:
-        i = tree.left[i] if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
-    return int(tree.leaf_weight[i])
+    return int(tree.leaf_weight[leaf_of(tree, x)])
 
 
 @settings(max_examples=150, deadline=None)
