@@ -6,7 +6,7 @@ first-hit stopping rule is evaluated on held-out ensembles to produce lower
 bounds on the optimal expected reward.
 """
 
-from treestop.ensemble import GbmSpec, PathEnsemble, augment_barrier, generate_gbm
+from treestop.ensemble import GbmSpec, PathEnsemble, generate_gbm
 from treestop.reward import RewardSpec, feature_dim, features, reward
 from treestop.cart import (
     CartTree,
@@ -23,7 +23,6 @@ from treestop.stopper import BaggedStopper, StopResult, TrainConfig, apply, trai
 from treestop.valuation import (
     BoundaryScatter,
     ValuationReport,
-    european_value,
     extract_boundary,
     ls_value,
     oracle_bruteforce,
@@ -36,7 +35,6 @@ __all__ = [
     "GbmSpec",
     "PathEnsemble",
     "generate_gbm",
-    "augment_barrier",
     "RewardSpec",
     "reward",
     "features",
@@ -63,7 +61,6 @@ __all__ = [
     "oracle_enumerate",
     "oracle_bruteforce",
     "extract_boundary",
-    "european_value",
 ]
 
 __version__ = "0.1.0"

@@ -94,11 +94,14 @@ def removal(points, deltas) -> DeltaSamples:
 
     A NaN or infinite coordinate or delta raises ValueError: a NaN fails every
     threshold test, so it could not be routed like the point it was split as.
+    Points that are not an (m, d) matrix with d >= 1 raise ValueError too.
     """
     pts = np.asarray(points, dtype=float)
     dl = np.asarray(deltas, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
+    if pts.ndim != 2 or pts.shape[1] == 0:
+        raise ValueError(f"points must be a (m, d) matrix with d >= 1, got shape {pts.shape}")
     if pts.shape[0] != dl.shape[0]:
         raise ValueError("points and deltas must have equal length")
     if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(dl))):

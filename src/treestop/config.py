@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from treestop.cart import GrowConfig
-from treestop.ensemble import GbmSpec, TRAIN_LABEL, generate_gbm, augment_barrier
+from treestop.ensemble import GbmSpec, TRAIN_LABEL, generate_gbm
 from treestop.reward import MAX_CALL_BARRIER, PUT, RewardSpec
 from treestop.stopper import TrainConfig
 
@@ -68,8 +68,7 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(f"field vols: expected comma-separated floats, "
                                   f"got {self.vols!r}") from exc
-            return GbmSpec(self.dim, self.x0, self.mu, vols, self.maturity,
-                           self.steps, "explicit")
+            return GbmSpec(self.dim, self.x0, self.mu, vols, self.maturity, self.steps)
         raise ConfigError(f"field vol_mode: unknown value {self.vol_mode!r}")
 
     def reward_spec(self) -> RewardSpec:
@@ -84,13 +83,9 @@ class ExperimentConfig:
         return TrainConfig(self.bags, gc, self.feature_mode, self.seed_bagging)
 
     def make_ensemble(self, label: str):
-        spec = self.gbm_spec()
         seed = self.seed_train if label == TRAIN_LABEL else self.seed_test
         k = self.k_train if label == TRAIN_LABEL else self.k_test
-        paths = generate_gbm(spec, k, seed, label)
-        if self.kind == MAX_CALL_BARRIER:
-            paths = augment_barrier(paths, self.barrier)
-        return paths
+        return generate_gbm(self.gbm_spec(), k, seed, label, self.reward_spec().barrier)
 
     # -- serialisation -------------------------------------------------------
 

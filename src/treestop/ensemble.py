@@ -1,16 +1,19 @@
 """Simulation and storage of path ensembles.
 
 An ensemble is a batch of K sampled paths of length N+1 in D dimensions, all
-starting from the same initial point.  Ensembles are immutable after
-construction and fully reproducible: the same (spec, K, seed) always yields
-bit-identical data.
+starting from the same initial point.  A knock-out ensemble carries one more
+coordinate, the running barrier indicator, written by ``generate_gbm`` into
+the last column of the same array.  Ensembles are immutable after
+construction and fully reproducible: the same (spec, K, seed, barrier) always
+yields bit-identical data.
 
 Determinism contract
 --------------------
 Normals come from numpy's Philox counter-based bit generator seeded with the
 64-bit ensemble seed, drawn in a single ``standard_normal((K, N, D))`` call
-(numpy's ziggurat transform).  This is byte-stable across runs and machines
-for a fixed numpy major version.
+(numpy's ziggurat transform).  That one normals buffer is turned into price
+ratios in place.  This is byte-stable across runs and machines for a fixed
+numpy major version.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ class GbmSpec:
     vols: np.ndarray
     maturity: float
     steps: int
-    vol_mode: str = "explicit"
 
     def __post_init__(self):
         vols = np.asarray(self.vols, dtype=float)
@@ -69,20 +71,16 @@ class GbmSpec:
             raise ValueError("x0 must be positive")
         if np.any(vols < 0):
             raise ValueError("vols must be nonnegative")
-        if self.vol_mode == "symmetric" and not np.all(vols == vols[0]):
-            raise ValueError("symmetric mode requires equal vols")
-        if self.vol_mode == "asymmetric" and not np.allclose(vols, asymmetric_vols(self.dim)):
-            raise ValueError("asymmetric mode requires the ladder vols")
 
     @classmethod
     def symmetric(cls, dim, x0, mu, sigma, maturity, steps) -> "GbmSpec":
         if sigma < 0:
             raise ValueError("sigma must be nonnegative")
-        return cls(dim, x0, mu, np.full(dim, float(sigma)), maturity, steps, "symmetric")
+        return cls(dim, x0, mu, np.full(dim, float(sigma)), maturity, steps)
 
     @classmethod
     def asymmetric(cls, dim, x0, mu, maturity, steps) -> "GbmSpec":
-        return cls(dim, x0, mu, asymmetric_vols(dim), maturity, steps, "asymmetric")
+        return cls(dim, x0, mu, asymmetric_vols(dim), maturity, steps)
 
 
 @dataclass(frozen=True)
@@ -121,53 +119,44 @@ class PathEnsemble:
         return self.data[:, n, :]
 
 
-def generate_gbm(spec: GbmSpec, num_paths: int, seed: int, label: str = TRAIN_LABEL) -> PathEnsemble:
-    """Simulate a GBM ensemble.
+def generate_gbm(spec: GbmSpec, num_paths: int, seed: int, label: str = TRAIN_LABEL,
+                 barrier: float | None = None) -> PathEnsemble:
+    """Simulate a GBM ensemble, with the knock-out indicator when ``barrier`` is given.
 
     data[k, n, d] = x0[d] * exp{(mu - vols[d]^2/2) * n*T/N
                                + vols[d] * sqrt(T/N) * sum_{n'<=n} eps[k, n', d]}
     with eps i.i.d. standard normal from a Philox stream seeded with ``seed``.
+
+    With a barrier, coordinate D at step n is 1 exactly when the maximum over
+    all asset coordinates and all steps n' <= n stays at or below ``barrier``,
+    and 0 otherwise, so it never rises again after a breach.
+
+    ``data`` is allocated once, at its final shape.  The one normals buffer is
+    scaled, shifted, summed and exponentiated in place, then multiplied by x0
+    into the asset columns.
     """
     if num_paths < 1:
         raise ValueError("num_paths must be >= 1")
+    if barrier is not None and barrier <= 0:
+        raise ValueError("barrier must be positive")
     K, N, D = num_paths, spec.steps, spec.dim
+    width = D + (barrier is not None)
     dt = spec.maturity / N
     rng = np.random.Generator(np.random.Philox(seed))
-    eps = rng.standard_normal((K, N, D))
-    drift = (spec.mu - 0.5 * spec.vols**2) * dt
-    diffusion = spec.vols * np.sqrt(dt)
-    log_ratio = np.cumsum(drift + diffusion * eps, axis=1)
-    data = np.empty((K, N + 1, D))
-    data[:, 0, :] = spec.x0
-    data[:, 1:, :] = spec.x0 * np.exp(log_ratio)
-    return PathEnsemble(K, N, D, spec.x0.copy(), data, seed, label)
-
-
-def augment_barrier(paths: PathEnsemble, barrier: float) -> PathEnsemble:
-    """Append the running knock-out indicator as an extra coordinate.
-
-    Coordinate D+1 at step n is 1 exactly when the maximum over all asset
-    coordinates and all steps n' <= n stays at or below ``barrier``.  The
-    indicator is non-increasing along every path.
-    """
-    if paths.has_barrier_indicator:
-        raise ValueError("ensemble already carries a barrier indicator")
-    if barrier <= 0:
-        raise ValueError("barrier must be positive")
-    running_max = np.maximum.accumulate(paths.data.max(axis=2), axis=1)
-    indicator = (running_max <= barrier).astype(float)
-    data = np.concatenate([paths.data, indicator[:, :, None]], axis=2)
-    initial = np.concatenate([paths.initial, indicator[0, 0:1]])
-    return PathEnsemble(
-        paths.num_paths,
-        paths.num_steps,
-        paths.dim + 1,
-        initial,
-        data,
-        paths.seed,
-        paths.label,
-        has_barrier_indicator=True,
-    )
+    ratio = rng.standard_normal((K, N, D))
+    ratio *= spec.vols * np.sqrt(dt)
+    ratio += (spec.mu - 0.5 * spec.vols**2) * dt
+    np.cumsum(ratio, axis=1, out=ratio)
+    # exp runs on the contiguous buffer: numpy's strided exp loop may round differently
+    np.exp(ratio, out=ratio)
+    data = np.empty((K, N + 1, width))
+    assets = data[:, :, :D]
+    assets[:, 0] = spec.x0
+    np.multiply(spec.x0, ratio, out=assets[:, 1:])
+    if barrier is not None:
+        data[:, :, D] = np.maximum.accumulate(assets.max(axis=2), axis=1) <= barrier
+    return PathEnsemble(K, N, width, data[0, 0].copy(), data, seed, label,
+                        has_barrier_indicator=barrier is not None)
 
 
 def dump_csv(paths: PathEnsemble, path) -> None:

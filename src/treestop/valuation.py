@@ -28,7 +28,6 @@ LS_TRAIN = "ls_train"
 LS_TEST = "ls_test"
 VMAX = "v_max"
 ORACLE = "oracle"
-EUROPEAN = "european_bs"
 
 
 @dataclass(frozen=True)
@@ -257,41 +256,6 @@ def make_markov_instance(seed: int, num_steps: int = 3, max_states: int = 3,
         state = slots[n][state, drivers[:, n]]
         data[:, n + 1, 0] = values[n + 1][state]
     return PathEnsemble(K, N, 1, np.array([values[0][0]]), data, seed, TRAIN_LABEL)
-
-
-# ---------------------------------------------------------------------------
-# Closed-form European reference
-# ---------------------------------------------------------------------------
-
-def _norm_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
-def european_value(kind: str, x0: float, strike: float, rate: float, mu: float,
-                   sigma: float, maturity: float) -> float:
-    """E[e^{-rT} payoff(X_T)] for a single lognormal asset with drift mu.
-
-    Standard lognormal-expectation formula with forward F = x0 e^{mu T};
-    supports the put and the single-asset call.
-    """
-    if kind not in (PUT, "call"):
-        raise ValueError("closed form available for put/call on one asset only")
-    fwd = x0 * math.exp(mu * maturity)
-    disc = math.exp(-rate * maturity)
-    if sigma <= 0 or maturity <= 0:
-        intrinsic = strike - fwd if kind == PUT else fwd - strike
-        return disc * max(intrinsic, 0.0)
-    vol = sigma * math.sqrt(maturity)
-    d1 = (math.log(fwd / strike) + 0.5 * vol * vol) / vol
-    d2 = d1 - vol
-    if kind == PUT:
-        return disc * (strike * _norm_cdf(-d2) - fwd * _norm_cdf(-d1))
-    return disc * (fwd * _norm_cdf(d1) - strike * _norm_cdf(d2))
-
-
-def european_report(x0: float, spec: RewardSpec, mu: float, sigma: float) -> ValuationReport:
-    value = european_value(spec.kind, x0, spec.strike, spec.rate, mu, sigma, spec.maturity)
-    return ValuationReport(EUROPEAN, value, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,20 @@
 """Independent reference implementations used to derive expected test values.
 
 Everything here is deliberately written in the most literal way possible
-(plain loops, no shared code with the package internals) so the tests check
-the real implementations against independently coded logic.
+(plain loops, no shared code with the package internals beyond the
+``PathEnsemble`` and ``ValuationReport`` result types) so the tests check the
+real implementations against independently coded logic.  The European closed
+form lives here because only tests use it.
 """
 
+import math
+
 import numpy as np
+
+from treestop.ensemble import PathEnsemble
+from treestop.valuation import ValuationReport
+
+EUROPEAN = "european_bs"
 
 
 def brute_force_split(points, weights, always_split=False):
@@ -142,3 +151,62 @@ def unique_removal(points, deltas):
     sums = np.bincount(inverse.reshape(-1), weights=dl, minlength=uniq.shape[0])
     order = np.argsort(first, kind="stable")
     return uniq[order], (sums / counts)[order], counts[order].astype(np.int64)
+
+
+def reference_gbm(spec, num_paths, seed, label, barrier=None):
+    """GBM ensemble built step by step with full-size temporaries.
+
+    The reference for ``generate_gbm``: one ``standard_normal((K, N, D))``
+    draw, then new arrays for the increments, their cumsum, the exp and the
+    prices; with a barrier, the running knock-out indicator is concatenated
+    as coordinate D into a second ensemble.
+    """
+    K, N, D = num_paths, spec.steps, spec.dim
+    dt = spec.maturity / N
+    rng = np.random.Generator(np.random.Philox(seed))
+    eps = rng.standard_normal((K, N, D))
+    drift = (spec.mu - 0.5 * spec.vols**2) * dt
+    diffusion = spec.vols * np.sqrt(dt)
+    log_ratio = np.cumsum(drift + diffusion * eps, axis=1)
+    data = np.empty((K, N + 1, D))
+    data[:, 0, :] = spec.x0
+    data[:, 1:, :] = spec.x0 * np.exp(log_ratio)
+    paths = PathEnsemble(K, N, D, spec.x0.copy(), data, seed, label)
+    if barrier is None:
+        return paths
+    running_max = np.maximum.accumulate(paths.data.max(axis=2), axis=1)
+    indicator = (running_max <= barrier).astype(float)
+    data = np.concatenate([paths.data, indicator[:, :, None]], axis=2)
+    initial = np.concatenate([paths.initial, indicator[0, 0:1]])
+    return PathEnsemble(K, N, D + 1, initial, data, seed, label, has_barrier_indicator=True)
+
+
+def _norm_cdf(x):
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def european_value(kind, x0, strike, rate, mu, sigma, maturity):
+    """E[e^{-rT} payoff(X_T)] for a single lognormal asset with drift mu.
+
+    Standard lognormal-expectation formula with forward F = x0 e^{mu T};
+    supports the put and the single-asset call.
+    """
+    if kind not in ("put", "call"):
+        raise ValueError("closed form available for put/call on one asset only")
+    fwd = x0 * math.exp(mu * maturity)
+    disc = math.exp(-rate * maturity)
+    if sigma <= 0 or maturity <= 0:
+        intrinsic = strike - fwd if kind == "put" else fwd - strike
+        return disc * max(intrinsic, 0.0)
+    vol = sigma * math.sqrt(maturity)
+    d1 = (math.log(fwd / strike) + 0.5 * vol * vol) / vol
+    d2 = d1 - vol
+    if kind == "put":
+        return disc * (strike * _norm_cdf(-d2) - fwd * _norm_cdf(-d1))
+    return disc * (fwd * _norm_cdf(d1) - strike * _norm_cdf(d2))
+
+
+def european_report(x0, spec, mu, sigma):
+    """The closed-form European value of ``spec`` as a deterministic report."""
+    value = european_value(spec.kind, x0, spec.strike, spec.rate, mu, sigma, spec.maturity)
+    return ValuationReport(EUROPEAN, value, 0.0)

@@ -10,11 +10,10 @@ import pytest
 from treestop.cart import GrowConfig, Leaf, Split, delta_split, grow, removal
 from treestop.cli import run_experiment
 from treestop.config import ExperimentConfig
-from treestop.ensemble import GbmSpec, augment_barrier, generate_gbm
+from treestop.ensemble import GbmSpec, generate_gbm
 from treestop.reward import RewardSpec
 from treestop.stopper import TrainConfig, apply, train
 from treestop.valuation import (
-    european_value,
     extract_boundary,
     ls_value,
     make_markov_instance,
@@ -24,7 +23,7 @@ from treestop.valuation import (
     value_of_rule,
 )
 
-from oracles import brute_force_split
+from oracles import brute_force_split, european_value
 
 # pairs (v_test, v_max) on the same test ensemble, collected by the heavy
 # runs and checked wholesale by the dominance criterion
@@ -36,11 +35,8 @@ def _passed(num, name):
 
 
 def _run(gbm, reward_spec, k_train, k_test, feature_mode, seeds=(1001, 2002, 3003)):
-    tr = generate_gbm(gbm, k_train, seeds[0], "training")
-    te = generate_gbm(gbm, k_test, seeds[1], "test")
-    if reward_spec.kind == "max_call_barrier":
-        tr = augment_barrier(tr, reward_spec.barrier)
-        te = augment_barrier(te, reward_spec.barrier)
+    tr = generate_gbm(gbm, k_train, seeds[0], "training", reward_spec.barrier)
+    te = generate_gbm(gbm, k_test, seeds[1], "test", reward_spec.barrier)
     cfg = TrainConfig(10, GrowConfig(10, 10, "delta"), feature_mode, seeds[2])
     stopper = train(tr, reward_spec, cfg)
     return tr, te, stopper

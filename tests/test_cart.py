@@ -163,6 +163,8 @@ def test_empty_input_rejected():
         delta_split(s)
     with pytest.raises(ValueError):
         prototype_split(s)
+    with pytest.raises(ValueError, match=r"\(3, 0\)"):
+        removal(np.zeros((3, 0)), np.zeros(3))
 
 
 @st.composite

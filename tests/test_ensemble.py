@@ -3,14 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treestop.ensemble import (
-    GbmSpec,
-    PathEnsemble,
-    asymmetric_vols,
-    augment_barrier,
-    dump_csv,
-    generate_gbm,
-)
+from treestop.ensemble import GbmSpec, asymmetric_vols, dump_csv, generate_gbm
+
+from oracles import reference_gbm
 
 
 def test_degenerate_diffusion_is_constant():
@@ -69,20 +64,25 @@ def test_asymmetric_vol_ladder():
 
 def test_barrier_indicator_never_breached():
     spec = GbmSpec.symmetric(1, 100.0, 0.0, 0.0, 1.0, 5)
-    paths = augment_barrier(generate_gbm(spec, 2, seed=1), barrier=170.0)
+    paths = generate_gbm(spec, 2, seed=1, barrier=170.0)
     assert np.all(paths.data[:, :, 1] == 1.0)
 
 
 def test_barrier_indicator_sticks_after_crossing():
-    data = np.array([[[100.0], [150.0], [171.0], [120.0], [100.0]]])
-    paths = PathEnsemble(1, 4, 1, np.array([100.0]), data, 0, "training")
-    out = augment_barrier(paths, 170.0)
-    np.testing.assert_array_equal(out.data[0, :, 1], [1, 1, 0, 0, 0])
+    spec = GbmSpec.symmetric(2, 100.0, 0.0, 0.3, 1.0, 12)
+    barrier = 120.0
+    paths = generate_gbm(spec, 200, seed=11, barrier=barrier)
+    asset_max = paths.data[:, :, :2].max(axis=2)
+    # the seeded paths include a breach followed by a fall back below the barrier
+    above = asset_max > barrier
+    assert np.any(np.maximum.accumulate(above, axis=1)[:, :-1] & ~above[:, 1:])
+    expected = np.maximum.accumulate(asset_max, axis=1) <= barrier
+    np.testing.assert_array_equal(paths.data[:, :, 2], expected.astype(float))
 
 
 def test_barrier_breached_at_start():
     spec = GbmSpec.symmetric(1, 200.0, 0.0, 0.0, 1.0, 4)
-    paths = augment_barrier(generate_gbm(spec, 2, seed=1), barrier=170.0)
+    paths = generate_gbm(spec, 2, seed=1, barrier=170.0)
     assert np.all(paths.data[:, :, 1] == 0.0)
 
 
@@ -90,17 +90,39 @@ def test_barrier_breached_at_start():
 @given(seed=st.integers(0, 2**32 - 1), barrier=st.floats(80.0, 200.0))
 def test_barrier_indicator_monotone(seed, barrier):
     spec = GbmSpec.symmetric(2, 100.0, 0.05, 0.3, 1.0, 12)
-    paths = augment_barrier(generate_gbm(spec, 50, seed=seed), barrier)
+    paths = generate_gbm(spec, 50, seed=seed, barrier=barrier)
     ind = paths.data[:, :, -1]
     assert set(np.unique(ind)) <= {0.0, 1.0}
     assert np.all(np.diff(ind, axis=1) <= 0)
 
 
-def test_double_barrier_augmentation_rejected():
-    spec = GbmSpec.symmetric(1, 100.0, 0.0, 0.2, 1.0, 4)
-    paths = augment_barrier(generate_gbm(spec, 5, seed=1), 170.0)
-    with pytest.raises(ValueError):
-        augment_barrier(paths, 170.0)
+@st.composite
+def gbm_cases(draw):
+    dim = draw(st.integers(1, 4))
+    steps = draw(st.integers(1, 12))
+    x0 = draw(st.floats(50.0, 150.0))
+    mu = draw(st.floats(-0.1, 0.1))
+    maturity = draw(st.floats(0.1, 3.0))
+    if dim >= 2 and draw(st.booleans()):
+        spec = GbmSpec.asymmetric(dim, x0, mu, maturity, steps)
+    else:
+        spec = GbmSpec.symmetric(dim, x0, mu, draw(st.floats(0.0, 0.6)), maturity, steps)
+    barrier = draw(st.none() | st.floats(60.0, 200.0))
+    return spec, draw(st.integers(1, 60)), draw(st.integers(0, 2**64 - 1)), barrier
+
+
+@settings(max_examples=200, deadline=None)
+@given(gbm_cases(), st.sampled_from(["training", "test"]))
+def test_generate_gbm_matches_reference(case, label):
+    # the in-place build gives the bytes of the step-by-step reference
+    spec, num_paths, seed, barrier = case
+    paths = generate_gbm(spec, num_paths, seed, label, barrier)
+    ref = reference_gbm(spec, num_paths, seed, label, barrier)
+    assert paths.data.shape == ref.data.shape and paths.data.dtype == ref.data.dtype
+    assert paths.data.tobytes() == ref.data.tobytes()
+    assert paths.initial.tobytes() == ref.initial.tobytes()
+    assert paths.has_barrier_indicator is ref.has_barrier_indicator
+    assert (paths.dim, paths.seed, paths.label) == (ref.dim, ref.seed, ref.label)
 
 
 def test_parameter_validation():
@@ -111,6 +133,8 @@ def test_parameter_validation():
     spec = GbmSpec.symmetric(1, 100.0, 0.0, 0.2, 1.0, 10)
     with pytest.raises(ValueError):
         generate_gbm(spec, 0, seed=1)
+    with pytest.raises(ValueError):
+        generate_gbm(spec, 5, seed=1, barrier=0.0)
 
 
 def test_vector_initial_point_broadcast_and_explicit():

@@ -6,8 +6,6 @@ from treestop.ensemble import GbmSpec, PathEnsemble, generate_gbm
 from treestop.reward import RewardSpec, reward
 from treestop.stopper import BaggedStopper, StopResult, TrainConfig, apply, train
 from treestop.valuation import (
-    european_report,
-    european_value,
     extract_boundary,
     ls_value,
     make_markov_instance,
@@ -17,7 +15,7 @@ from treestop.valuation import (
     value_of_rule,
 )
 
-from oracles import binomial_bermudan_put
+from oracles import binomial_bermudan_put, european_report, european_value
 
 PUT4 = RewardSpec("put", 0.05, 100.0, 1.0, 4)
 
