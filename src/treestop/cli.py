@@ -265,23 +265,12 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override one config field (repeatable)")
-    p.add_argument("--seed-train", type=int, default=None)
-    p.add_argument("--seed-test", type=int, default=None)
     p.add_argument("--out", default=None, help="output directory")
 
 
 def _resolve(args) -> ExperimentConfig:
     cfg = load_config(args.config, args.set)
-    updates = {}
-    if args.seed_train is not None:
-        updates["seed_train"] = args.seed_train
-    if args.seed_test is not None:
-        updates["seed_test"] = args.seed_test
-    if args.out is not None:
-        updates["out"] = args.out
-    if updates:
-        cfg = replace(cfg, **updates)
-    return cfg
+    return cfg if args.out is None else replace(cfg, out=args.out)
 
 
 def main(argv=None) -> int:

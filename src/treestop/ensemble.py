@@ -1,19 +1,21 @@
 """Simulation and storage of path ensembles.
 
 An ensemble is a batch of K sampled paths of length N+1 in D dimensions, all
-starting from the same initial point.  A knock-out ensemble carries one more
-coordinate, the running barrier indicator, written by ``generate_gbm`` into
-the last column of the same array.  Ensembles are immutable after
-construction and fully reproducible: the same (spec, K, seed, barrier) always
-yields bit-identical data.
+starting from the same initial point.  It is stored step-major, as one
+(N+1, K, D) array, so the (K, D) state at any step is a contiguous view.  A
+knock-out ensemble carries one more coordinate, the running barrier
+indicator, written by ``generate_gbm`` into the last column of the same
+array.  Ensembles are immutable after construction and fully reproducible:
+the same (spec, K, seed, barrier) always yields bit-identical data.
 
 Determinism contract
 --------------------
 Normals come from numpy's Philox counter-based bit generator seeded with the
 64-bit ensemble seed, drawn in a single ``standard_normal((K, N, D))`` call
-(numpy's ziggurat transform).  That one normals buffer is turned into price
-ratios in place.  This is byte-stable across runs and machines for a fixed
-numpy major version.
+(numpy's ziggurat transform).  That one path-major normals buffer is turned
+into price ratios in place and transposed on write into the step-major
+array.  This is byte-stable across runs and machines for a fixed numpy major
+version.
 """
 
 from __future__ import annotations
@@ -87,16 +89,13 @@ class GbmSpec:
 class PathEnsemble:
     """K sampled paths of length N+1 in D dimensions sharing an initial point.
 
-    ``data`` has shape (K, N+1, D) with ``data[k, 0] == initial`` for every k.
-    When ``has_barrier_indicator`` is set, the last coordinate is the running
-    knock-out indicator (1 while the running maximum of the asset coordinates
-    stays at or below the barrier, 0 forever after a breach).
+    ``data`` is step-major, shape (N+1, K, D), with every path holding the same
+    state at step 0, so ``state_at(n)`` is the C-contiguous (K, D) view
+    ``data[n]``.  When ``has_barrier_indicator`` is set, the last coordinate is
+    the running knock-out indicator (1 while the running maximum of the asset
+    coordinates stays at or below the barrier, 0 forever after a breach).
     """
 
-    num_paths: int
-    num_steps: int
-    dim: int
-    initial: np.ndarray
     data: np.ndarray
     seed: int
     label: str
@@ -105,25 +104,38 @@ class PathEnsemble:
     def __post_init__(self):
         if self.label not in (TRAIN_LABEL, TEST_LABEL):
             raise ValueError(f"label must be {TRAIN_LABEL!r} or {TEST_LABEL!r}")
-        if self.data.shape != (self.num_paths, self.num_steps + 1, self.dim):
-            raise ValueError("data shape does not match (K, N+1, D)")
-        if not np.all(np.isfinite(self.data)):
+        data = np.ascontiguousarray(self.data)
+        if data.ndim != 3 or 0 in data.shape:
+            raise ValueError(f"data must be a non-empty (N+1, K, D) array, got shape {data.shape}")
+        if not np.all(np.isfinite(data)):
             raise ValueError("non-finite path entries")
-        if not np.array_equal(self.data[:, 0, :], np.broadcast_to(self.initial, (self.num_paths, self.dim))):
-            raise ValueError("data[:, 0] must equal the shared initial point")
-        self.data.setflags(write=False)
-        self.initial.setflags(write=False)
+        if not np.all(data[0] == data[0, :1]):
+            raise ValueError("every path must share the step-0 state")
+        data.setflags(write=False)
+        object.__setattr__(self, "data", data)
+
+    @property
+    def num_steps(self) -> int:
+        return self.data.shape[0] - 1
+
+    @property
+    def num_paths(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def dim(self) -> int:
+        return self.data.shape[2]
 
     def state_at(self, n: int) -> np.ndarray:
-        """(K, D) cross-section of all paths at step n."""
-        return self.data[:, n, :]
+        """(K, D) cross-section of all paths at step n, a contiguous view."""
+        return self.data[n]
 
 
 def generate_gbm(spec: GbmSpec, num_paths: int, seed: int, label: str = TRAIN_LABEL,
                  barrier: float | None = None) -> PathEnsemble:
     """Simulate a GBM ensemble, with the knock-out indicator when ``barrier`` is given.
 
-    data[k, n, d] = x0[d] * exp{(mu - vols[d]^2/2) * n*T/N
+    data[n, k, d] = x0[d] * exp{(mu - vols[d]^2/2) * n*T/N
                                + vols[d] * sqrt(T/N) * sum_{n'<=n} eps[k, n', d]}
     with eps i.i.d. standard normal from a Philox stream seeded with ``seed``.
 
@@ -131,9 +143,9 @@ def generate_gbm(spec: GbmSpec, num_paths: int, seed: int, label: str = TRAIN_LA
     all asset coordinates and all steps n' <= n stays at or below ``barrier``,
     and 0 otherwise, so it never rises again after a breach.
 
-    ``data`` is allocated once, at its final shape.  The one normals buffer is
-    scaled, shifted, summed and exponentiated in place, then multiplied by x0
-    into the asset columns.
+    ``data`` is allocated once, at its final shape.  The one path-major normals
+    buffer is scaled, shifted, summed and exponentiated in place, then
+    multiplied by x0 and transposed on write into the step-major asset columns.
     """
     if num_paths < 1:
         raise ValueError("num_paths must be >= 1")
@@ -149,14 +161,13 @@ def generate_gbm(spec: GbmSpec, num_paths: int, seed: int, label: str = TRAIN_LA
     np.cumsum(ratio, axis=1, out=ratio)
     # exp runs on the contiguous buffer: numpy's strided exp loop may round differently
     np.exp(ratio, out=ratio)
-    data = np.empty((K, N + 1, width))
+    data = np.empty((N + 1, K, width))
     assets = data[:, :, :D]
-    assets[:, 0] = spec.x0
-    np.multiply(spec.x0, ratio, out=assets[:, 1:])
+    assets[0] = spec.x0
+    np.multiply(spec.x0, ratio.transpose(1, 0, 2), out=assets[1:])
     if barrier is not None:
-        data[:, :, D] = np.maximum.accumulate(assets.max(axis=2), axis=1) <= barrier
-    return PathEnsemble(K, N, width, data[0, 0].copy(), data, seed, label,
-                        has_barrier_indicator=barrier is not None)
+        data[:, :, D] = np.maximum.accumulate(assets.max(axis=2), axis=0) <= barrier
+    return PathEnsemble(data, seed, label, has_barrier_indicator=barrier is not None)
 
 
 def dump_csv(paths: PathEnsemble, path) -> None:
@@ -172,4 +183,4 @@ def dump_csv(paths: PathEnsemble, path) -> None:
         for k in range(paths.num_paths):
             for n in range(paths.num_steps + 1):
                 for d in range(paths.dim):
-                    fh.write(f"{k},{n},{d},{paths.data[k, n, d]:.17g}\n")
+                    fh.write(f"{k},{n},{d},{paths.data[n, k, d]:.17g}\n")

@@ -94,7 +94,6 @@ def ls_value(paths_train: PathEnsemble, paths_test: PathEnsemble,
     if paths_train.num_steps != spec.steps or paths_test.num_steps != spec.steps:
         raise ValueError("ensemble and reward spec disagree on the step count")
     N = spec.steps
-    X = paths_train.data[:, :, 0]
     cash = reward(spec, N, paths_train.state_at(N))
     coefs: dict[int, np.ndarray] = {}
     for n in range(N - 1, 0, -1):
@@ -102,7 +101,7 @@ def ls_value(paths_train: PathEnsemble, paths_test: PathEnsemble,
         itm = immediate > 0
         if not itm.any():
             continue
-        basis = _ls_basis(X[itm, n], spec.strike)
+        basis = _ls_basis(paths_train.state_at(n)[itm, 0], spec.strike)
         beta, *_ = np.linalg.lstsq(basis, cash[itm], rcond=None)
         coefs[n] = beta
         fitted = basis @ beta
@@ -110,7 +109,7 @@ def ls_value(paths_train: PathEnsemble, paths_test: PathEnsemble,
         rows = np.flatnonzero(itm)[exercise]
         cash[rows] = immediate[rows]
     continuation0 = float(np.mean(cash))
-    u0 = float(reward(spec, 0, paths_train.initial))
+    u0 = float(reward(spec, 0, paths_train.state_at(0)[0]))
     stop_at_0 = u0 >= continuation0
 
     if stop_at_0:
@@ -129,7 +128,6 @@ def ls_value(paths_train: PathEnsemble, paths_test: PathEnsemble,
 
 def _ls_forward(paths: PathEnsemble, spec: RewardSpec, coefs) -> np.ndarray:
     N = spec.steps
-    X = paths.data[:, :, 0]
     values = reward(spec, N, paths.state_at(N))
     done = np.zeros(paths.num_paths, dtype=bool)
     for n in range(1, N):
@@ -140,7 +138,7 @@ def _ls_forward(paths: PathEnsemble, spec: RewardSpec, coefs) -> np.ndarray:
         active = itm & ~done
         if not active.any():
             continue
-        fitted = _ls_basis(X[active, n], spec.strike) @ coefs[n]
+        fitted = _ls_basis(paths.state_at(n)[active, 0], spec.strike) @ coefs[n]
         exercise = immediate[active] >= fitted
         rows = np.flatnonzero(active)[exercise]
         values[rows] = immediate[rows]
@@ -249,13 +247,13 @@ def make_markov_instance(seed: int, num_steps: int = 3, max_states: int = 3,
         slots.append(rng.integers(0, counts[n + 1], size=(counts[n], branching)))
     K = branching ** N
     state = np.zeros(K, dtype=np.int64)
-    data = np.empty((K, N + 1, 1))
-    data[:, 0, 0] = values[0][0]
+    data = np.empty((N + 1, K, 1))
+    data[0, :, 0] = values[0][0]
     drivers = np.array(list(itertools.product(range(branching), repeat=N)), dtype=np.int64)
     for n in range(N):
         state = slots[n][state, drivers[:, n]]
-        data[:, n + 1, 0] = values[n + 1][state]
-    return PathEnsemble(K, N, 1, np.array([values[0][0]]), data, seed, TRAIN_LABEL)
+        data[n + 1, :, 0] = values[n + 1][state]
+    return PathEnsemble(data, seed, TRAIN_LABEL)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +291,7 @@ def extract_boundary(result: StopResult, paths: PathEnsemble,
     mask = (result.stop_step >= 1) & (result.stop_step < N)
     ids = np.flatnonzero(mask)
     steps = result.stop_step[ids]
-    values = paths.data[ids, steps, 0]
+    values = paths.data[steps, ids, 0]
     counts = result.counts
     mean_by_step = np.full(N + 1, np.nan)
     if ids.size:

@@ -159,7 +159,8 @@ def reference_gbm(spec, num_paths, seed, label, barrier=None):
     The reference for ``generate_gbm``: one ``standard_normal((K, N, D))``
     draw, then new arrays for the increments, their cumsum, the exp and the
     prices; with a barrier, the running knock-out indicator is concatenated
-    as coordinate D into a second ensemble.
+    as coordinate D.  The build is path-major, (K, N+1, D), and is transposed
+    to the step-major layout only when the ensemble is constructed.
     """
     K, N, D = num_paths, spec.steps, spec.dim
     dt = spec.maturity / N
@@ -171,14 +172,12 @@ def reference_gbm(spec, num_paths, seed, label, barrier=None):
     data = np.empty((K, N + 1, D))
     data[:, 0, :] = spec.x0
     data[:, 1:, :] = spec.x0 * np.exp(log_ratio)
-    paths = PathEnsemble(K, N, D, spec.x0.copy(), data, seed, label)
     if barrier is None:
-        return paths
-    running_max = np.maximum.accumulate(paths.data.max(axis=2), axis=1)
+        return PathEnsemble(data.transpose(1, 0, 2), seed, label)
+    running_max = np.maximum.accumulate(data.max(axis=2), axis=1)
     indicator = (running_max <= barrier).astype(float)
-    data = np.concatenate([paths.data, indicator[:, :, None]], axis=2)
-    initial = np.concatenate([paths.initial, indicator[0, 0:1]])
-    return PathEnsemble(K, N, D + 1, initial, data, seed, label, has_barrier_indicator=True)
+    data = np.concatenate([data, indicator[:, :, None]], axis=2)
+    return PathEnsemble(data.transpose(1, 0, 2), seed, label, has_barrier_indicator=True)
 
 
 def _norm_cdf(x):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treestop.ensemble import GbmSpec, asymmetric_vols, dump_csv, generate_gbm
+from treestop.ensemble import GbmSpec, PathEnsemble, asymmetric_vols, dump_csv, generate_gbm
 
 from oracles import reference_gbm
 
@@ -20,14 +20,14 @@ def test_zero_vol_is_deterministic_exponential():
     n = np.arange(51)
     expected = 100.0 * np.exp(0.001 * n)
     for k in range(3):
-        np.testing.assert_allclose(paths.data[k, :, 0], expected, rtol=1e-12)
+        np.testing.assert_allclose(paths.data[:, k, 0], expected, rtol=1e-12)
 
 
 def test_terminal_mean_matches_lognormal_first_moment():
     # sample mean of X_N / x0 should sit within 3 standard errors of e^{mu T}
     spec = GbmSpec.symmetric(1, 100.0, 0.05, 0.2, 1.0, 50)
     paths = generate_gbm(spec, 200000, seed=42)
-    ratio = paths.data[:, -1, 0] / 100.0
+    ratio = paths.data[-1, :, 0] / 100.0
     se = ratio.std(ddof=1) / np.sqrt(ratio.size)
     assert abs(ratio.mean() - np.exp(0.05)) < 3 * se
 
@@ -75,8 +75,8 @@ def test_barrier_indicator_sticks_after_crossing():
     asset_max = paths.data[:, :, :2].max(axis=2)
     # the seeded paths include a breach followed by a fall back below the barrier
     above = asset_max > barrier
-    assert np.any(np.maximum.accumulate(above, axis=1)[:, :-1] & ~above[:, 1:])
-    expected = np.maximum.accumulate(asset_max, axis=1) <= barrier
+    assert np.any(np.maximum.accumulate(above, axis=0)[:-1] & ~above[1:])
+    expected = np.maximum.accumulate(asset_max, axis=0) <= barrier
     np.testing.assert_array_equal(paths.data[:, :, 2], expected.astype(float))
 
 
@@ -93,7 +93,7 @@ def test_barrier_indicator_monotone(seed, barrier):
     paths = generate_gbm(spec, 50, seed=seed, barrier=barrier)
     ind = paths.data[:, :, -1]
     assert set(np.unique(ind)) <= {0.0, 1.0}
-    assert np.all(np.diff(ind, axis=1) <= 0)
+    assert np.all(np.diff(ind, axis=0) <= 0)
 
 
 @st.composite
@@ -120,9 +120,45 @@ def test_generate_gbm_matches_reference(case, label):
     ref = reference_gbm(spec, num_paths, seed, label, barrier)
     assert paths.data.shape == ref.data.shape and paths.data.dtype == ref.data.dtype
     assert paths.data.tobytes() == ref.data.tobytes()
-    assert paths.initial.tobytes() == ref.initial.tobytes()
     assert paths.has_barrier_indicator is ref.has_barrier_indicator
     assert (paths.dim, paths.seed, paths.label) == (ref.dim, ref.seed, ref.label)
+
+
+@pytest.mark.parametrize("label", ["training", "test"])
+@pytest.mark.parametrize("barrier", [None, 120.0])
+def test_state_at_is_contiguous_view_of_data(label, barrier):
+    spec = GbmSpec.symmetric(3, 100.0, 0.05, 0.3, 1.0, 6)
+    paths = generate_gbm(spec, 40, seed=4, label=label, barrier=barrier)
+    assert paths.data.shape == (7, 40, 3 + (barrier is not None))
+    # a strided view of the same values is stored contiguous by the constructor
+    path_major = paths.data.transpose(1, 0, 2).copy()
+    rebuilt = PathEnsemble(path_major.transpose(1, 0, 2), paths.seed, label, paths.has_barrier_indicator)
+    for ensemble in (paths, rebuilt):
+        for n in range(ensemble.num_steps + 1):
+            state = ensemble.state_at(n)
+            assert state.flags.c_contiguous
+            assert np.shares_memory(state, ensemble.data)
+            np.testing.assert_array_equal(state, paths.data[n])
+
+
+def _differs_at_step_zero():
+    data = np.full((3, 2, 1), 100.0)
+    data[0, 1, 0] = 101.0
+    return data
+
+
+@pytest.mark.parametrize("data, label, match", [
+    (np.full((3, 2), 100.0), "training", "shape"),
+    (np.full((3, 2, 1, 1), 100.0), "training", "shape"),
+    (np.zeros((1, 0, 1)), "training", "shape"),
+    (np.full((3, 2, 1), np.nan), "training", "non-finite"),
+    (np.full((3, 2, 1), np.inf), "test", "non-finite"),
+    (_differs_at_step_zero(), "training", "step-0"),
+    (np.full((3, 2, 1), 100.0), "validation", "label"),
+])
+def test_path_ensemble_validation(data, label, match):
+    with pytest.raises(ValueError, match=match):
+        PathEnsemble(data, 0, label)
 
 
 def test_parameter_validation():
@@ -140,7 +176,7 @@ def test_parameter_validation():
 def test_vector_initial_point_broadcast_and_explicit():
     spec = GbmSpec(2, np.array([90.0, 110.0]), 0.0, np.array([0.0, 0.0]), 1.0, 3)
     paths = generate_gbm(spec, 4, seed=1)
-    np.testing.assert_array_equal(paths.initial, [90.0, 110.0])
+    np.testing.assert_array_equal(paths.state_at(0)[0], [90.0, 110.0])
     assert np.all(paths.data[:, :, 0] == 90.0)
     assert np.all(paths.data[:, :, 1] == 110.0)
 

@@ -124,8 +124,8 @@ def test_ls_rejects_multidimensional():
 
 def two_state_instance():
     # one decision: immediate 5 now versus terminal payoffs {0, 8}
-    data = np.array([[[95.0], [105.0]], [[95.0], [92.0]]])
-    return PathEnsemble(2, 1, 1, np.array([95.0]), data, 0, "training")
+    data = np.array([[[95.0], [95.0]], [[105.0], [92.0]]])
+    return PathEnsemble(data, 0, "training")
 
 
 def test_oracle_two_terminal_states():
@@ -237,9 +237,9 @@ def test_boundary_empty_when_all_terminal():
 
 
 def test_boundary_single_row():
-    data = np.full((3, 5, 1), 100.0)
-    data[1, 3, 0] = 80.0
-    paths = PathEnsemble(3, 4, 1, np.array([100.0]), data, 0, "test")
+    data = np.full((5, 3, 1), 100.0)
+    data[3, 1, 0] = 80.0
+    paths = PathEnsemble(data, 0, "test")
     res = make_result([4, 3, 4], paths, PUT4)
     sc = extract_boundary(res, paths)
     assert sc.values.tolist() == [80.0]
@@ -249,8 +249,8 @@ def test_boundary_single_row():
 
 
 def test_boundary_excludes_step_zero_and_terminal():
-    data = np.full((4, 5, 1), 90.0)
-    paths = PathEnsemble(4, 4, 1, np.array([90.0]), data, 0, "test")
+    data = np.full((5, 4, 1), 90.0)
+    paths = PathEnsemble(data, 0, "test")
     res = make_result([0, 1, 4, 2], paths, PUT4)
     sc = extract_boundary(res, paths)
     assert sorted(sc.steps.tolist()) == [1, 2]
@@ -258,9 +258,9 @@ def test_boundary_excludes_step_zero_and_terminal():
 
 
 def test_boundary_residuals_against_external_curve():
-    data = np.full((2, 5, 1), 90.0)
-    data[0, 2, 0] = 84.0
-    paths = PathEnsemble(2, 4, 1, np.array([90.0]), data, 0, "test")
+    data = np.full((5, 2, 1), 90.0)
+    data[2, 0, 0] = 84.0
+    paths = PathEnsemble(data, 0, "test")
     res = make_result([2, 4], paths, PUT4)
     theoretical = np.array([86.0, 86.0, 86.5, 87.0, 100.0])
     sc = extract_boundary(res, paths, theoretical)
