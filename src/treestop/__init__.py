@@ -6,7 +6,7 @@ first-hit stopping rule is evaluated on held-out ensembles to produce lower
 bounds on the optimal expected reward.
 """
 
-from treestop.ensemble import GbmSpec, PathEnsemble, generate_gbm
+from treestop.ensemble import GbmSpec, PathEnsemble, gbm_chunks, generate_gbm
 from treestop.reward import RewardSpec, feature_dim, features, reward
 from treestop.cart import (
     CartTree,
@@ -23,10 +23,15 @@ from treestop.stopper import BaggedStopper, StopResult, TrainConfig, apply, trai
 from treestop.valuation import (
     BoundaryScatter,
     ValuationReport,
+    LsRule,
     extract_boundary,
+    ls_fit,
+    ls_forward,
     ls_value,
+    max_rewards,
     oracle_bruteforce,
     oracle_enumerate,
+    stopped_values,
     v_max,
     value_of_rule,
 )
@@ -35,6 +40,7 @@ __all__ = [
     "GbmSpec",
     "PathEnsemble",
     "generate_gbm",
+    "gbm_chunks",
     "RewardSpec",
     "reward",
     "features",
@@ -56,10 +62,15 @@ __all__ = [
     "ValuationReport",
     "BoundaryScatter",
     "value_of_rule",
+    "max_rewards",
     "v_max",
+    "LsRule",
+    "ls_fit",
+    "ls_forward",
     "ls_value",
     "oracle_enumerate",
     "oracle_bruteforce",
+    "stopped_values",
     "extract_boundary",
 ]
 

@@ -28,13 +28,19 @@ from treestop import references
 from treestop.config import ConfigError, ExperimentConfig, load_config
 from treestop.ensemble import TRAIN_LABEL, TEST_LABEL, dump_csv
 from treestop.reward import MAX_CALL_BARRIER, PUT
-from treestop.stopper import BaggedStopper, apply, train
+from treestop.stopper import BaggedStopper, StopResult, apply, train
 from treestop.valuation import (
+    LS_TEST,
+    VMAX,
     extract_boundary,
+    ls_fit,
+    ls_forward,
     ls_value,
     make_markov_instance,
+    max_rewards,
     oracle_bruteforce,
     oracle_enumerate,
+    stopped_values,
     v_max,
     value_of_rule,
 )
@@ -115,18 +121,53 @@ def _load_theoretical(path, steps: int) -> np.ndarray:
     return out
 
 
+def _value_pass(cfg: ExperimentConfig, label: str, stopper: BaggedStopper, stopper_hash: str,
+                per_path: dict | None = None) -> tuple[StopResult, dict]:
+    """Simulate the ``label`` ensemble chunk by chunk and value each chunk as it comes.
+
+    Each chunk is applied to, then ``per_path[name](chunk, chunk_result)`` gives
+    that chunk's rows of the per-path vector ``name``.  Every per-path output is
+    allocated at length K before the first chunk, so an impossible K fails at
+    once, and is filled at the chunk's offset; reductions over the filled
+    vectors give the bytes of a whole-ensemble run.  Returns the stop result and
+    the filled vectors by name.
+    """
+    per_path = per_path or {}
+    K, N = cfg.num_paths(label), stopper.num_steps
+    stop_step = np.empty(K, dtype=np.int64)
+    realized = np.empty(K)
+    filled = {name: np.empty(K) for name in per_path}
+    start = 0
+    for chunk in cfg.ensemble_chunks(label):
+        rows = slice(start, start + chunk.num_paths)
+        res = apply(stopper, chunk)
+        stop_step[rows] = res.stop_step
+        realized[rows] = res.realized
+        for name, of_chunk in per_path.items():
+            filled[name][rows] = of_chunk(chunk, res)
+        start = rows.stop
+        del chunk  # free these paths before the next chunk is simulated
+    counts = np.bincount(stop_step, minlength=N + 1)
+    return StopResult(stop_step, realized, counts, label, res.ensemble_seed, N, stopper_hash), filled
+
+
 def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = True,
          save: bool = True, boundary: bool = False, boundary_file: str | None = None) -> dict:
     """Simulate, fit (or load ``stopper_file``), apply and value one config.
 
-    Only the ensembles the requested stages need are simulated.  ``save``
-    writes a fitted stopper (stopper.txt, config_resolved.cfg) and, with
-    ``value``, the full report list (v_max and the cfg.with_ls baseline
-    included) to valuation.csv; unsaved runs value only v_train and v_test.
-    ``boundary`` writes the test ensemble's boundary CSVs, with residuals
-    against ``boundary_file`` when given.  Returns the reports keyed by kind.
+    Only the ensembles the requested stages need are simulated.  The training
+    ensemble is held whole only to fit the stopper or the cfg.with_ls
+    regression; every valuation streams its ensemble in path chunks
+    (``_value_pass``).  ``save`` writes a fitted stopper (stopper.txt,
+    config_resolved.cfg) and, with ``value``, the full report list (v_max and
+    the cfg.with_ls baseline included) to valuation.csv; unsaved runs value
+    only v_train and v_test.  ``boundary`` writes the test ensemble's boundary
+    CSVs, with residuals against ``boundary_file`` when given.  Returns the
+    reports keyed by kind.
     """
     fit = stopper_file is None
+    full = value and save
+    with_ls = full and cfg.with_ls
     theoretical = _load_theoretical(boundary_file, cfg.steps) if boundary_file else None
     if save or boundary:
         os.makedirs(cfg.out, exist_ok=True)
@@ -137,28 +178,42 @@ def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = T
     if not fit:
         with open(stopper_file) as fh:
             stopper = BaggedStopper.parse(fh.read(), reward_spec)
-    paths_train = cfg.make_ensemble(TRAIN_LABEL) if fit or value else None
-    if fit:
-        stopper = train(paths_train, reward_spec, cfg.train_config())
-        if save:
-            with open(os.path.join(cfg.out, "stopper.txt"), "w") as fh:
-                fh.write(_provenance(cfg))
-                fh.write(stopper.serialize())
+    if fit or with_ls:
+        paths_train = cfg.make_ensemble(TRAIN_LABEL)
+        if fit:
+            stopper = train(paths_train, reward_spec, cfg.train_config())
+            if save:
+                with open(os.path.join(cfg.out, "stopper.txt"), "w") as fh:
+                    fh.write(_provenance(cfg))
+                    fh.write(stopper.serialize())
+        if with_ls:
+            ls_rule = ls_fit(paths_train, reward_spec)
+        del paths_train
     if not (value or boundary):
         return {}
 
-    paths_test = cfg.make_ensemble(TEST_LABEL)
-    res_test = apply(stopper, paths_test)
+    stopper_hash = stopper.content_hash()
     reports = []
     if value:
-        reports = [value_of_rule(apply(stopper, paths_train)), value_of_rule(res_test)]
-        if save:
-            reports.append(v_max(paths_test, reward_spec))
-            if cfg.with_ls:
-                reports.extend(ls_value(paths_train, paths_test, reward_spec))
+        reports.append(value_of_rule(_value_pass(cfg, TRAIN_LABEL, stopper, stopper_hash)[0]))
+    per_path = {}
+    if full:
+        per_path[VMAX] = lambda chunk, _: max_rewards(chunk, reward_spec)
+    if with_ls:
+        per_path[LS_TEST] = lambda chunk, _: ls_forward(ls_rule, chunk, reward_spec)
+    if boundary:
+        per_path["stopped"] = lambda chunk, res: stopped_values(res, chunk)
+    res_test, filled = _value_pass(cfg, TEST_LABEL, stopper, stopper_hash, per_path)
+    if value:
+        reports.append(value_of_rule(res_test))
+        if full:
+            reports.append(v_max(filled[VMAX], res_test.ensemble_seed))
+            if with_ls:
+                reports.extend(ls_value(ls_rule, filled[LS_TEST], res_test.ensemble_seed))
             _write_valuation_csv(os.path.join(cfg.out, "valuation.csv"), cfg, reports)
     if boundary:
-        _write_boundary_csv(cfg.out, cfg, extract_boundary(res_test, paths_test, theoretical))
+        _write_boundary_csv(cfg.out, cfg, extract_boundary(res_test, filled["stopped"],
+                                                           theoretical))
     return {rep.kind: rep for rep in reports}
 
 
@@ -307,7 +362,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from treestop.cart import GrowConfig
-from treestop.ensemble import GbmSpec, TRAIN_LABEL, generate_gbm
+from treestop.ensemble import GbmSpec, TRAIN_LABEL, gbm_chunks, generate_gbm
 from treestop.reward import MAX_CALL_BARRIER, PUT, RewardSpec
 from treestop.stopper import TrainConfig
 
@@ -82,10 +82,19 @@ class ExperimentConfig:
         gc = GrowConfig(self.max_depth, self.min_node_size, self.splitter)
         return TrainConfig(self.bags, gc, self.feature_mode, self.seed_bagging)
 
-    def make_ensemble(self, label: str):
+    def num_paths(self, label: str) -> int:
+        return self.k_train if label == TRAIN_LABEL else self.k_test
+
+    def _gbm_args(self, label: str) -> tuple:
         seed = self.seed_train if label == TRAIN_LABEL else self.seed_test
-        k = self.k_train if label == TRAIN_LABEL else self.k_test
-        return generate_gbm(self.gbm_spec(), k, seed, label, self.reward_spec().barrier)
+        return self.gbm_spec(), self.num_paths(label), seed, label, self.reward_spec().barrier
+
+    def make_ensemble(self, label: str):
+        return generate_gbm(*self._gbm_args(label))
+
+    def ensemble_chunks(self, label: str):
+        """The ``label`` ensemble in path chunks of its one stream (see ``gbm_chunks``)."""
+        return gbm_chunks(*self._gbm_args(label))
 
     # -- serialisation -------------------------------------------------------
 

@@ -11,21 +11,33 @@ the same (spec, K, seed, barrier) always yields bit-identical data.
 Determinism contract
 --------------------
 Normals come from numpy's Philox counter-based bit generator seeded with the
-64-bit ensemble seed, drawn in a single ``standard_normal((K, N, D))`` call
-(numpy's ziggurat transform).  That one path-major normals buffer is turned
+64-bit ensemble seed.  They are drawn path-major, in chunks of ``k`` paths at a
+time (``standard_normal((k, N, D))``, numpy's ziggurat transform), from that
+one stream: chunks of one stream give the same numbers as one
+``standard_normal((K, N, D))`` call.  Each chunk's normals buffer is turned
 into price ratios in place and transposed on write into the step-major
-array.  This is byte-stable across runs and machines for a fixed numpy major
-version.
+array.  This is byte-stable across runs, machines and chunk sizes for a
+fixed numpy major version.
+
+``CHUNK_BYTES`` bounds a chunk's path data.  ``generate_gbm`` fills one
+whole ensemble chunk by chunk; ``gbm_chunks`` yields the same paths as
+separate step-major ensembles, so a caller that only values them never
+holds the whole ensemble.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 TRAIN_LABEL = "training"
 TEST_LABEL = "test"
+
+# Path data simulated per chunk.  Smaller chunks hold less memory but pay the
+# per-chunk Python overhead of valuing (N steps x B bag trees) more often.
+CHUNK_BYTES = 16 * 2**20
 
 
 def asymmetric_vols(dim: int) -> np.ndarray:
@@ -131,6 +143,43 @@ class PathEnsemble:
         return self.data[n]
 
 
+def _check_request(num_paths: int, barrier: float | None) -> None:
+    if num_paths < 1:
+        raise ValueError("num_paths must be >= 1")
+    if barrier is not None and barrier <= 0:
+        raise ValueError("barrier must be positive")
+
+
+def _chunk_starts(spec: GbmSpec, num_paths: int, width: int) -> range:
+    """First path of every chunk: as many paths as ``CHUNK_BYTES`` of path data holds."""
+    per_chunk = max(1, CHUNK_BYTES // (8 * (spec.steps + 1) * width))
+    return range(0, num_paths, per_chunk)
+
+
+def _fill(out: np.ndarray, rng: np.random.Generator, spec: GbmSpec,
+          barrier: float | None) -> np.ndarray:
+    """Simulate the next ``out.shape[1]`` paths of ``rng`` into the step-major ``out``.
+
+    The chunk's normals buffer is scaled, shifted, summed and exponentiated in
+    place, then multiplied by x0 and transposed on write into the asset
+    columns; with a barrier the last column gets the knock-out indicator.
+    """
+    N, D = spec.steps, spec.dim
+    dt = spec.maturity / N
+    ratio = rng.standard_normal((out.shape[1], N, D))
+    ratio *= spec.vols * np.sqrt(dt)
+    ratio += (spec.mu - 0.5 * spec.vols**2) * dt
+    np.cumsum(ratio, axis=1, out=ratio)
+    # exp runs on the contiguous buffer: numpy's strided exp loop may round differently
+    np.exp(ratio, out=ratio)
+    assets = out[:, :, :D]
+    assets[0] = spec.x0
+    np.multiply(spec.x0, ratio.transpose(1, 0, 2), out=assets[1:])
+    if barrier is not None:
+        out[:, :, D] = np.maximum.accumulate(assets.max(axis=2), axis=0) <= barrier
+    return out
+
+
 def generate_gbm(spec: GbmSpec, num_paths: int, seed: int, label: str = TRAIN_LABEL,
                  barrier: float | None = None) -> PathEnsemble:
     """Simulate a GBM ensemble, with the knock-out indicator when ``barrier`` is given.
@@ -143,31 +192,38 @@ def generate_gbm(spec: GbmSpec, num_paths: int, seed: int, label: str = TRAIN_LA
     all asset coordinates and all steps n' <= n stays at or below ``barrier``,
     and 0 otherwise, so it never rises again after a breach.
 
-    ``data`` is allocated once, at its final shape.  The one path-major normals
-    buffer is scaled, shifted, summed and exponentiated in place, then
-    multiplied by x0 and transposed on write into the step-major asset columns.
+    ``data`` is allocated once, at its final shape, and filled chunk by chunk
+    from the one stream, so the only other buffer is one chunk's normals.
     """
-    if num_paths < 1:
-        raise ValueError("num_paths must be >= 1")
-    if barrier is not None and barrier <= 0:
-        raise ValueError("barrier must be positive")
-    K, N, D = num_paths, spec.steps, spec.dim
-    width = D + (barrier is not None)
-    dt = spec.maturity / N
+    _check_request(num_paths, barrier)
+    width = spec.dim + (barrier is not None)
+    data = np.empty((spec.steps + 1, num_paths, width))
     rng = np.random.Generator(np.random.Philox(seed))
-    ratio = rng.standard_normal((K, N, D))
-    ratio *= spec.vols * np.sqrt(dt)
-    ratio += (spec.mu - 0.5 * spec.vols**2) * dt
-    np.cumsum(ratio, axis=1, out=ratio)
-    # exp runs on the contiguous buffer: numpy's strided exp loop may round differently
-    np.exp(ratio, out=ratio)
-    data = np.empty((N + 1, K, width))
-    assets = data[:, :, :D]
-    assets[0] = spec.x0
-    np.multiply(spec.x0, ratio.transpose(1, 0, 2), out=assets[1:])
-    if barrier is not None:
-        data[:, :, D] = np.maximum.accumulate(assets.max(axis=2), axis=0) <= barrier
+    starts = _chunk_starts(spec, num_paths, width)
+    for start in starts:
+        _fill(data[:, start:start + starts.step], rng, spec, barrier)
     return PathEnsemble(data, seed, label, has_barrier_indicator=barrier is not None)
+
+
+def gbm_chunks(spec: GbmSpec, num_paths: int, seed: int, label: str = TRAIN_LABEL,
+               barrier: float | None = None) -> Iterator[PathEnsemble]:
+    """The paths of ``generate_gbm(spec, num_paths, seed, label, barrier)``, chunk by chunk.
+
+    Each chunk is a step-major ensemble of consecutive paths, at most
+    ``CHUNK_BYTES`` of path data (at least one path); concatenated along the
+    path axis the chunks equal ``generate_gbm``'s data byte for byte.  The
+    generator keeps no reference to a chunk it has yielded.
+    """
+    _check_request(num_paths, barrier)
+    width = spec.dim + (barrier is not None)
+    rng = np.random.Generator(np.random.Philox(seed))
+    starts = _chunk_starts(spec, num_paths, width)
+    for start in starts:
+        # no local keeps the yielded chunk: once the caller drops it, it is freed
+        # before the next chunk is allocated
+        shape = (spec.steps + 1, min(starts.step, num_paths - start), width)
+        yield PathEnsemble(_fill(np.empty(shape), rng, spec, barrier), seed, label,
+                           has_barrier_indicator=barrier is not None)
 
 
 def dump_csv(paths: PathEnsemble, path) -> None:

@@ -143,6 +143,8 @@ class StopResult:
 
     stop_step[k] is in 0..N, realized[k] the discounted reward collected at
     that step, counts[n] the number of paths stopped at step n.
+    ``stopper_hash`` is left to the caller that reports the result: ``apply``
+    runs once per path chunk, and the hash belongs to the whole ensemble.
     """
 
     stop_step: np.ndarray
@@ -233,7 +235,9 @@ def apply(stopper: BaggedStopper, paths: PathEnsemble) -> StopResult:
 
     A path stops at the first n < N where at least half the bag trees vote
     STOP on its step-n features, and at N otherwise.  Returns stop steps,
-    realized rewards and per-step stop counts.
+    realized rewards and per-step stop counts, without the stopper hash.
+    Paths are independent, so applying to path chunks gives the rows of
+    applying to the whole ensemble.
     """
     spec = stopper.reward_spec
     _check_compat(paths, spec, stopper.feature_mode)
@@ -261,5 +265,4 @@ def apply(stopper: BaggedStopper, paths: PathEnsemble) -> StopResult:
     if alive.size:
         realized[alive] = reward(spec, N, paths.state_at(N)[alive])
     counts = np.bincount(stop_step, minlength=N + 1)
-    return StopResult(stop_step, realized, counts, paths.label, paths.seed, N,
-                      stopper_hash=stopper.content_hash())
+    return StopResult(stop_step, realized, counts, paths.label, paths.seed, N)

@@ -1,12 +1,17 @@
 """Lower bounds, reference values, and stopping-boundary extraction.
 
 ``value_of_rule`` turns realized stopping results into ensemble-average lower
-bounds with standard errors.  ``v_max`` gives the anticipating upper
-reference (per-path maximal reward).  ``ls_value`` is a least-squares
-regression baseline for the one-dimensional put.  ``oracle_enumerate`` and
-``oracle_bruteforce`` solve tiny discrete instances exactly, the former by
-backward induction in exact rational arithmetic, the latter by enumerating
-every per-state {0,1} assignment.
+bounds with standard errors.  ``max_rewards`` gives each path's maximal
+reward and ``v_max`` their mean, the anticipating upper reference.
+``ls_fit`` fits a least-squares regression baseline for the one-dimensional
+put, ``ls_forward`` replays it path by path and ``ls_value`` reports both
+values.  The per-path functions (``max_rewards``, ``ls_forward``,
+``stopped_values``) work on any path chunk of an ensemble; every report is
+taken over the assembled per-path vector, so a chunked run reports the same
+bytes as a whole one.  ``oracle_enumerate`` and ``oracle_bruteforce`` solve
+tiny discrete instances exactly, the former by backward induction in exact
+rational arithmetic, the latter by enumerating every per-state {0,1}
+assignment.
 """
 
 from __future__ import annotations
@@ -61,13 +66,18 @@ def value_of_rule(result: StopResult) -> ValuationReport:
     return ValuationReport(kind, m, se, result.ensemble_seed, result.stopper_hash)
 
 
-def v_max(paths: PathEnsemble, spec: RewardSpec) -> ValuationReport:
-    """Anticipating upper reference: mean over paths of the per-path max reward."""
+def max_rewards(paths: PathEnsemble, spec: RewardSpec) -> np.ndarray:
+    """Per-path maximal reward over steps 0..N: the perfect-foresight stop."""
     best = reward(spec, 0, paths.state_at(0))
     for n in range(1, paths.num_steps + 1):
         np.maximum(best, reward(spec, n, paths.state_at(n)), out=best)
+    return best
+
+
+def v_max(best: np.ndarray, seed: int | None = None) -> ValuationReport:
+    """Anticipating upper reference: the mean of the per-path ``max_rewards``."""
     m, se = _mean_se(best)
-    return ValuationReport(VMAX, m, se, paths.seed)
+    return ValuationReport(VMAX, m, se, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -79,19 +89,29 @@ def _ls_basis(x: np.ndarray, strike: float) -> np.ndarray:
     return np.stack([np.ones_like(z), z, z * z, z * z * z], axis=1)
 
 
-def ls_value(paths_train: PathEnsemble, paths_test: PathEnsemble,
-             spec: RewardSpec) -> tuple[ValuationReport, ValuationReport]:
-    """Backward-regression baseline; returns (in-sample, out-of-sample) values.
+@dataclass(frozen=True)
+class LsRule:
+    """A fitted regression rule and its in-sample value.
+
+    ``coefs[n]`` holds the continuation coefficients of step n; when
+    ``stop_value`` is set, the rule stops every path at step 0 for that reward.
+    """
+
+    coefs: dict
+    stop_value: float | None
+    train: ValuationReport
+
+
+def ls_fit(paths_train: PathEnsemble, spec: RewardSpec) -> LsRule:
+    """Backward-regression baseline fitted on a training ensemble.
 
     At each step the discounted payoff collected under the current rule is
     regressed on {1, x/C, (x/C)^2, (x/C)^3} over in-the-money paths; exercise
     happens when the immediate payoff is at least the fitted continuation.
-    The out-of-sample value replays the fitted coefficients on the test
-    ensemble.
     """
     if spec.kind != PUT or paths_train.dim != 1:
         raise ValueError("regression baseline is scoped to the one-dimensional put")
-    if paths_train.num_steps != spec.steps or paths_test.num_steps != spec.steps:
+    if paths_train.num_steps != spec.steps:
         raise ValueError("ensemble and reward spec disagree on the step count")
     N = spec.steps
     cash = reward(spec, N, paths_train.state_at(N))
@@ -110,40 +130,42 @@ def ls_value(paths_train: PathEnsemble, paths_test: PathEnsemble,
         cash[rows] = immediate[rows]
     continuation0 = float(np.mean(cash))
     u0 = float(reward(spec, 0, paths_train.state_at(0)[0]))
-    stop_at_0 = u0 >= continuation0
-
-    if stop_at_0:
-        train_values = np.full(paths_train.num_paths, u0)
-        test_values = np.full(paths_test.num_paths, u0)
-    else:
-        train_values = cash
-        test_values = _ls_forward(paths_test, spec, coefs)
-    m_tr, se_tr = _mean_se(train_values)
-    m_te, se_te = _mean_se(test_values)
-    return (
-        ValuationReport(LS_TRAIN, m_tr, se_tr, paths_train.seed),
-        ValuationReport(LS_TEST, m_te, se_te, paths_test.seed),
-    )
+    stop_value = u0 if u0 >= continuation0 else None
+    train_values = cash if stop_value is None else np.full(paths_train.num_paths, u0)
+    m, se = _mean_se(train_values)
+    return LsRule(coefs, stop_value, ValuationReport(LS_TRAIN, m, se, paths_train.seed))
 
 
-def _ls_forward(paths: PathEnsemble, spec: RewardSpec, coefs) -> np.ndarray:
+def ls_forward(rule: LsRule, paths: PathEnsemble, spec: RewardSpec) -> np.ndarray:
+    """Per-path payoff of the fitted rule replayed on ``paths``."""
+    if paths.num_steps != spec.steps:
+        raise ValueError("ensemble and reward spec disagree on the step count")
+    if rule.stop_value is not None:
+        return np.full(paths.num_paths, rule.stop_value)
     N = spec.steps
     values = reward(spec, N, paths.state_at(N))
     done = np.zeros(paths.num_paths, dtype=bool)
     for n in range(1, N):
-        if n not in coefs:
+        if n not in rule.coefs:
             continue
         immediate = reward(spec, n, paths.state_at(n))
         itm = immediate > 0
         active = itm & ~done
         if not active.any():
             continue
-        fitted = _ls_basis(paths.state_at(n)[active, 0], spec.strike) @ coefs[n]
+        fitted = _ls_basis(paths.state_at(n)[active, 0], spec.strike) @ rule.coefs[n]
         exercise = immediate[active] >= fitted
         rows = np.flatnonzero(active)[exercise]
         values[rows] = immediate[rows]
         done[rows] = True
     return values
+
+
+def ls_value(rule: LsRule, test_values: np.ndarray,
+             test_seed: int | None = None) -> tuple[ValuationReport, ValuationReport]:
+    """(in-sample, out-of-sample) regression values; ``test_values`` from ``ls_forward``."""
+    m, se = _mean_se(test_values)
+    return rule.train, ValuationReport(LS_TEST, m, se, test_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -278,20 +300,26 @@ class BoundaryScatter:
     residuals: np.ndarray | None = None
 
 
-def extract_boundary(result: StopResult, paths: PathEnsemble,
+def stopped_values(result: StopResult, paths: PathEnsemble) -> np.ndarray:
+    """(K,) state of each path of a 1-D ensemble at its stop step."""
+    if paths.dim != 1:
+        raise ValueError("boundary extraction needs one-dimensional paths")
+    return paths.data[result.stop_step, np.arange(paths.num_paths), 0]
+
+
+def extract_boundary(result: StopResult, stopped: np.ndarray,
                      theoretical: np.ndarray | None = None) -> BoundaryScatter:
     """Collect (step, stopped value) pairs of a 1-D put stopping result.
 
+    ``stopped`` holds each path's state at its stop step (``stopped_values``).
     ``theoretical`` is an optional length-(N+1) array of boundary levels used
     to attach residuals to each scatter row.
     """
-    if paths.dim != 1:
-        raise ValueError("boundary extraction needs one-dimensional paths")
     N = result.num_steps
     mask = (result.stop_step >= 1) & (result.stop_step < N)
     ids = np.flatnonzero(mask)
     steps = result.stop_step[ids]
-    values = paths.data[steps, ids, 0]
+    values = stopped[ids]
     counts = result.counts
     mean_by_step = np.full(N + 1, np.nan)
     if ids.size:

@@ -15,10 +15,14 @@ from treestop.reward import RewardSpec
 from treestop.stopper import TrainConfig, apply, train
 from treestop.valuation import (
     extract_boundary,
+    ls_fit,
+    ls_forward,
     ls_value,
     make_markov_instance,
+    max_rewards,
     oracle_bruteforce,
     oracle_enumerate,
+    stopped_values,
     v_max,
     value_of_rule,
 )
@@ -49,8 +53,9 @@ def put_atm_run():
     tr, te, stopper = _run(gbm, spec, 50000, 50000, "raw")
     res_te = apply(stopper, te)
     rep_te = value_of_rule(res_te)
-    rep_ls = ls_value(tr, te, spec)
-    DOMINANCE_PAIRS.append(("put_atm", rep_te.value, v_max(te, spec).value))
+    rule = ls_fit(tr, spec)
+    rep_ls = ls_value(rule, ls_forward(rule, te, spec))
+    DOMINANCE_PAIRS.append(("put_atm", rep_te.value, v_max(max_rewards(te, spec)).value))
     return rep_te, rep_ls
 
 
@@ -60,8 +65,9 @@ def put_boundary_run():
     spec = RewardSpec("put", 0.05, 100.0, 1.0, 50)
     tr, te, stopper = _run(gbm, spec, 50000, 50000, "raw")
     res_te = apply(stopper, te)
-    DOMINANCE_PAIRS.append(("put_85", value_of_rule(res_te).value, v_max(te, spec).value))
-    return extract_boundary(res_te, te)
+    v_upper = v_max(max_rewards(te, spec)).value
+    DOMINANCE_PAIRS.append(("put_85", value_of_rule(res_te).value, v_upper))
+    return extract_boundary(res_te, stopped_values(res_te, te))
 
 
 def test_criterion_1_american_put(put_atm_run):
@@ -77,7 +83,7 @@ def test_criterion_2_zero_rate_put_matches_european():
     tr, te, stopper = _run(gbm, spec, 50000, 50000, "raw", seeds=(11, 22, 33))
     rep = value_of_rule(apply(stopper, te))
     closed = european_value("put", 100.0, 100.0, 0.0, 0.0, 0.2, 1.0)
-    DOMINANCE_PAIRS.append(("put_r0", rep.value, v_max(te, spec).value))
+    DOMINANCE_PAIRS.append(("put_r0", rep.value, v_max(max_rewards(te, spec)).value))
     assert abs(rep.value - closed) <= 3 * rep.se + 0.05
     _passed(2, f"zero-rate put: v_test={rep.value:.3f} vs european {closed:.3f}")
 
@@ -87,7 +93,7 @@ def test_criterion_3_symmetric_max_call_four_features():
     spec = RewardSpec("max_call", 0.05, 100.0, 3.0, 9)
     tr, te, stopper = _run(gbm, spec, 50000, 100000, "four_features", seeds=(11, 22, 33))
     rep = value_of_rule(apply(stopper, te))
-    DOMINANCE_PAIRS.append(("maxcall_sym", rep.value, v_max(te, spec).value))
+    DOMINANCE_PAIRS.append(("maxcall_sym", rep.value, v_max(max_rewards(te, spec)).value))
     assert 25.3 <= rep.value <= 26.4  # published value 26.061, +-3%
     _passed(3, f"symmetric max-call D=5: v_test={rep.value:.3f}")
 
@@ -97,7 +103,7 @@ def test_criterion_4_barrier_max_call():
     spec = RewardSpec("max_call_barrier", 0.05, 100.0, 3.0, 53, 170.0)
     tr, te, stopper = _run(gbm, spec, 20000, 50000, "four_features", seeds=(11, 22, 33))
     rep = value_of_rule(apply(stopper, te))
-    DOMINANCE_PAIRS.append(("barrier", rep.value, v_max(te, spec).value))
+    DOMINANCE_PAIRS.append(("barrier", rep.value, v_max(max_rewards(te, spec)).value))
     assert abs(rep.value - 34.744) <= 0.03 * 34.744
     _passed(4, f"barrier max-call D=4: v_test={rep.value:.3f}")
 

@@ -1,8 +1,12 @@
+import shutil
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treestop import ensemble
 from treestop.cli import benchmark_grid, main, run_experiment
 from treestop.config import (
     ConfigError,
@@ -121,6 +125,37 @@ def test_zero_vol_experiment_matches_backward_induction(tmp_path):
     assert reports["v_test"].value == pytest.approx(value, rel=1e-12)
 
 
+@pytest.mark.parametrize("extra", [
+    dict(with_ls=True, with_boundary=True),
+    dict(kind="max_call_barrier", dim=3, mu=0.05, maturity=3.0, steps=9, barrier=170.0,
+         feature_mode="four_features"),
+], ids=["put_ls_boundary", "barrier"])
+def test_chunked_valuation_keeps_every_output_byte(tmp_path, monkeypatch, extra):
+    cfg = small_config(tmp_path / "run", **extra)
+    run_experiment(cfg)
+    one_chunk = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
+    shutil.rmtree(tmp_path / "run")
+
+    # 400 paths in chunks of 133: three full chunks and a 1-path last chunk
+    width = cfg.dim + (cfg.kind == "max_call_barrier")
+    monkeypatch.setattr(ensemble, "CHUNK_BYTES", 133 * 8 * (cfg.steps + 1) * width)
+    sizes = []
+    chunks_of = ExperimentConfig.ensemble_chunks
+
+    def recorded(self, label):
+        for chunk in chunks_of(self, label):
+            sizes.append((label, chunk.num_paths))
+            yield chunk
+
+    monkeypatch.setattr(ExperimentConfig, "ensemble_chunks", recorded)
+    run_experiment(cfg)
+    assert sizes == [(label, k) for label in ("training", "test") for k in (133, 133, 133, 1)]
+    chunked = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
+    assert chunked.keys() == one_chunk.keys()
+    for name in one_chunk:
+        assert chunked[name] == one_chunk[name], name
+
+
 def test_ls_unsupported_for_multidim(tmp_path):
     cfg = ExperimentConfig(kind="max_call", dim=2, mu=-0.05, maturity=3.0,
                            steps=5, k_train=200, k_test=200, bags=2,
@@ -213,6 +248,39 @@ def test_invalid_config_exits_nonzero(tmp_path, capsys):
     rc = main(["train", "--config", str(bad)])
     assert rc == 2
     assert "steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_impossible_size_exits_with_error(tmp_path, capsys, command):
+    # numpy refuses the allocation outright, before any path of that ensemble is drawn
+    common = ["--set", "k_train=300", "--set", "k_test=300", "--set", "steps=5",
+              "--set", "bags=3", "--out", str(tmp_path)]
+    huge = "k_train=1000000000000" if command == "train" else "k_test=1000000000000"
+    if command == "evaluate":
+        assert main(["train", *common]) == 0
+        common += ["--stopper", str(tmp_path / "stopper.txt")]
+    capsys.readouterr()
+    assert main([command, *common, "--set", huge]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_evaluate_memory_stays_below_half_the_test_ensemble(tmp_path):
+    # a streamed evaluate holds one path chunk and 24 bytes per test path,
+    # never the whole 80 MB test ensemble
+    k_test, steps, dim = 200000, 9, 5
+    common = ["--set", "kind=max_call", "--set", f"dim={dim}", "--set", "mu=-0.05",
+              "--set", "maturity=3.0", "--set", f"steps={steps}",
+              "--set", "feature_mode=four_features", "--set", "k_train=2000",
+              "--set", "bags=4", "--set", f"k_test={k_test}", "--out", str(tmp_path)]
+    assert main(["train", *common]) == 0
+    ensemble_bytes = k_test * (steps + 1) * dim * 8
+    tracemalloc.start()
+    try:
+        assert main(["evaluate", "--stopper", str(tmp_path / "stopper.txt"), *common]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ensemble_bytes / 2
 
 
 def test_missing_stopper_file_exits_nonzero(tmp_path):

@@ -1,9 +1,20 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treestop.ensemble import GbmSpec, PathEnsemble, asymmetric_vols, dump_csv, generate_gbm
+from treestop import ensemble
+from treestop.ensemble import (
+    CHUNK_BYTES,
+    GbmSpec,
+    PathEnsemble,
+    asymmetric_vols,
+    dump_csv,
+    gbm_chunks,
+    generate_gbm,
+)
 
 from oracles import reference_gbm
 
@@ -111,17 +122,42 @@ def gbm_cases(draw):
     return spec, draw(st.integers(1, 60)), draw(st.integers(0, 2**64 - 1)), barrier
 
 
+def chunk_bytes_for(spec, barrier, chunk_paths):
+    """A CHUNK_BYTES value that makes every chunk hold ``chunk_paths`` paths."""
+    return chunk_paths * 8 * (spec.steps + 1) * (spec.dim + (barrier is not None))
+
+
 @settings(max_examples=200, deadline=None)
-@given(gbm_cases(), st.sampled_from(["training", "test"]))
-def test_generate_gbm_matches_reference(case, label):
-    # the in-place build gives the bytes of the step-by-step reference
+@given(gbm_cases(), st.sampled_from(["training", "test"]), st.none() | st.integers(1, 8))
+def test_generate_gbm_matches_reference(case, label, chunk_paths):
+    # the chunked in-place build gives the bytes of the step-by-step reference,
+    # both in one chunk and in chunks of chunk_paths paths (the last one ragged
+    # unless chunk_paths divides num_paths)
     spec, num_paths, seed, barrier = case
-    paths = generate_gbm(spec, num_paths, seed, label, barrier)
+    chunk_bytes = CHUNK_BYTES if chunk_paths is None else chunk_bytes_for(spec, barrier, chunk_paths)
+    with mock.patch.object(ensemble, "CHUNK_BYTES", chunk_bytes):
+        paths = generate_gbm(spec, num_paths, seed, label, barrier)
     ref = reference_gbm(spec, num_paths, seed, label, barrier)
     assert paths.data.shape == ref.data.shape and paths.data.dtype == ref.data.dtype
     assert paths.data.tobytes() == ref.data.tobytes()
     assert paths.has_barrier_indicator is ref.has_barrier_indicator
     assert (paths.dim, paths.seed, paths.label) == (ref.dim, ref.seed, ref.label)
+
+
+@pytest.mark.parametrize("chunk_paths", [1, 7, 40, 1000])
+@pytest.mark.parametrize("barrier", [None, 120.0])
+def test_gbm_chunks_concatenate_to_generate_gbm(monkeypatch, barrier, chunk_paths):
+    spec = GbmSpec.symmetric(3, 100.0, 0.05, 0.3, 1.0, 6)
+    whole = generate_gbm(spec, 40, seed=4, label="test", barrier=barrier)
+    monkeypatch.setattr(ensemble, "CHUNK_BYTES", chunk_bytes_for(spec, barrier, chunk_paths))
+    chunks = list(gbm_chunks(spec, 40, seed=4, label="test", barrier=barrier))
+    # chunks of 7 end in a ragged chunk of 5
+    sizes = [min(chunk_paths, 40 - start) for start in range(0, 40, chunk_paths)]
+    assert [c.num_paths for c in chunks] == sizes
+    for c in chunks:
+        assert (c.seed, c.label, c.has_barrier_indicator) == (4, "test", barrier is not None)
+    joined = np.concatenate([c.data for c in chunks], axis=1)
+    assert joined.tobytes() == whole.data.tobytes()
 
 
 @pytest.mark.parametrize("label", ["training", "test"])
@@ -171,6 +207,8 @@ def test_parameter_validation():
         generate_gbm(spec, 0, seed=1)
     with pytest.raises(ValueError):
         generate_gbm(spec, 5, seed=1, barrier=0.0)
+    with pytest.raises(ValueError):
+        next(gbm_chunks(spec, 0, seed=1))
 
 
 def test_vector_initial_point_broadcast_and_explicit():

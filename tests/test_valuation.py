@@ -7,10 +7,14 @@ from treestop.reward import RewardSpec, reward
 from treestop.stopper import BaggedStopper, StopResult, TrainConfig, apply, train
 from treestop.valuation import (
     extract_boundary,
+    ls_fit,
+    ls_forward,
     ls_value,
     make_markov_instance,
+    max_rewards,
     oracle_bruteforce,
     oracle_enumerate,
+    stopped_values,
     v_max,
     value_of_rule,
 )
@@ -49,7 +53,7 @@ def test_value_kind_follows_label():
 def test_v_max_dominates_any_rule():
     spec = GbmSpec.symmetric(1, 100.0, 0.05, 0.3, 1.0, 4)
     paths = generate_gbm(spec, 400, seed=5, label="test")
-    upper = v_max(paths, PUT4)
+    upper = v_max(max_rewards(paths, PUT4))
     cfg = TrainConfig(4, GrowConfig(max_depth=3), "raw", 3)
     trained = train(generate_gbm(spec, 400, seed=6), PUT4, cfg)
     rep = value_of_rule(apply(trained, paths))
@@ -64,13 +68,13 @@ def test_v_max_single_deterministic_path():
     paths = generate_gbm(spec, 1, seed=1)
     rspec = RewardSpec("put", 1.0, 100.0, 1.0, 20)
     rewards = [float(reward(rspec, n, paths.state_at(n)[0])) for n in range(21)]
-    assert v_max(paths, rspec).value == pytest.approx(max(rewards), rel=1e-12)
+    assert v_max(max_rewards(paths, rspec)).value == pytest.approx(max(rewards), rel=1e-12)
 
 
 def test_se_shrinks_with_root_k():
     spec = GbmSpec.symmetric(1, 100.0, 0.05, 0.2, 1.0, 4)
-    small = v_max(generate_gbm(spec, 2000, seed=9), PUT4)
-    large = v_max(generate_gbm(spec, 32000, seed=9), PUT4)
+    small = v_max(max_rewards(generate_gbm(spec, 2000, seed=9), PUT4))
+    large = v_max(max_rewards(generate_gbm(spec, 32000, seed=9), PUT4))
     assert large.se == pytest.approx(small.se / 4.0, rel=0.25)
 
 
@@ -78,12 +82,17 @@ def test_se_shrinks_with_root_k():
 # regression baseline
 # ---------------------------------------------------------------------------
 
+def ls_reports(tr, te, spec):
+    rule = ls_fit(tr, spec)
+    return ls_value(rule, ls_forward(rule, te, spec), te.seed)
+
+
 def test_ls_deterministic_deep_itm_exercises_immediately():
     spec = GbmSpec.symmetric(1, 1.0, 0.05, 0.0, 1.0, 10)
     tr = generate_gbm(spec, 50, seed=1)
     te = generate_gbm(spec, 50, seed=2, label="test")
     rspec = RewardSpec("put", 0.05, 100.0, 1.0, 10)
-    rep_tr, rep_te = ls_value(tr, te, rspec)
+    rep_tr, rep_te = ls_reports(tr, te, rspec)
     assert rep_tr.value == 99.0
     assert rep_te.value == 99.0
 
@@ -93,7 +102,7 @@ def test_ls_close_to_binomial_oracle():
     spec = GbmSpec.symmetric(1, 100.0, 0.05, 0.2, 1.0, 50)
     tr = generate_gbm(spec, 20000, seed=101)
     te = generate_gbm(spec, 20000, seed=202, label="test")
-    rep_tr, rep_te = ls_value(tr, te, rspec)
+    rep_tr, rep_te = ls_reports(tr, te, rspec)
     lattice = binomial_bermudan_put(100.0, 100.0, 0.05, 0.05, 0.2, 1.0, 50)
     assert abs(rep_te.value - lattice) <= 3 * rep_te.se + 0.05
 
@@ -105,7 +114,7 @@ def test_ls_zero_rate_matches_european():
     spec = GbmSpec.symmetric(1, 100.0, 0.0, 0.2, 1.0, 50)
     tr = generate_gbm(spec, 20000, seed=31)
     te = generate_gbm(spec, 20000, seed=32, label="test")
-    _, rep_te = ls_value(tr, te, rspec)
+    _, rep_te = ls_reports(tr, te, rspec)
     closed = european_value("put", 100.0, 100.0, 0.0, 0.0, 0.2, 1.0)
     assert abs(rep_te.value - closed) <= 3 * rep_te.se + 0.05
 
@@ -115,7 +124,7 @@ def test_ls_rejects_multidimensional():
     tr = generate_gbm(spec, 100, seed=1)
     te = generate_gbm(spec, 100, seed=2, label="test")
     with pytest.raises(ValueError):
-        ls_value(tr, te, RewardSpec("max_call", 0.05, 100.0, 3.0, 9))
+        ls_reports(tr, te, RewardSpec("max_call", 0.05, 100.0, 3.0, 9))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +239,7 @@ def test_boundary_empty_when_all_terminal():
     spec = GbmSpec.symmetric(1, 100.0, 0.05, 0.2, 1.0, 4)
     paths = generate_gbm(spec, 6, seed=1)
     res = make_result([4] * 6, paths, PUT4)
-    sc = extract_boundary(res, paths)
+    sc = extract_boundary(res, stopped_values(res, paths))
     assert sc.values.size == 0
     assert np.all(sc.counts[:4] == 0)
     assert np.all(np.isnan(sc.mean_by_step[:4]))
@@ -241,7 +250,7 @@ def test_boundary_single_row():
     data[3, 1, 0] = 80.0
     paths = PathEnsemble(data, 0, "test")
     res = make_result([4, 3, 4], paths, PUT4)
-    sc = extract_boundary(res, paths)
+    sc = extract_boundary(res, stopped_values(res, paths))
     assert sc.values.tolist() == [80.0]
     assert sc.steps.tolist() == [3]
     assert sc.mean_by_step[3] == 80.0
@@ -252,7 +261,7 @@ def test_boundary_excludes_step_zero_and_terminal():
     data = np.full((5, 4, 1), 90.0)
     paths = PathEnsemble(data, 0, "test")
     res = make_result([0, 1, 4, 2], paths, PUT4)
-    sc = extract_boundary(res, paths)
+    sc = extract_boundary(res, stopped_values(res, paths))
     assert sorted(sc.steps.tolist()) == [1, 2]
     assert sc.counts.sum() == 4  # counts still cover every path
 
@@ -263,7 +272,7 @@ def test_boundary_residuals_against_external_curve():
     paths = PathEnsemble(data, 0, "test")
     res = make_result([2, 4], paths, PUT4)
     theoretical = np.array([86.0, 86.0, 86.5, 87.0, 100.0])
-    sc = extract_boundary(res, paths, theoretical)
+    sc = extract_boundary(res, stopped_values(res, paths), theoretical)
     assert sc.residuals is not None
     np.testing.assert_allclose(sc.residuals, [84.0 - 86.5])
 
@@ -274,4 +283,4 @@ def test_boundary_needs_one_dimension():
     rspec = RewardSpec("max_call", 0.05, 100.0, 3.0, 9)
     res = make_result([9] * 10, paths, rspec)
     with pytest.raises(ValueError):
-        extract_boundary(res, paths)
+        extract_boundary(res, stopped_values(res, paths))
