@@ -19,7 +19,7 @@ from treestop.cart import (
     prototype_split,
     removal,
 )
-from treestop.stopper import BaggedStopper, StopResult, TrainConfig, apply, train
+from treestop.stopper import BaggedStopper, StopResult, TrainConfig, apply, first_hit, train
 from treestop.valuation import (
     BoundaryScatter,
     ValuationReport,
@@ -58,6 +58,7 @@ __all__ = [
     "BaggedStopper",
     "StopResult",
     "train",
+    "first_hit",
     "apply",
     "ValuationReport",
     "BoundaryScatter",

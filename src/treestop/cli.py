@@ -121,7 +121,7 @@ def _load_theoretical(path, steps: int) -> np.ndarray:
     return out
 
 
-def _value_pass(cfg: ExperimentConfig, label: str, stopper: BaggedStopper, stopper_hash: str,
+def _value_pass(cfg: ExperimentConfig, label: str, stopper: BaggedStopper,
                 per_path: dict | None = None) -> tuple[StopResult, dict]:
     """Simulate the ``label`` ensemble chunk by chunk and value each chunk as it comes.
 
@@ -129,11 +129,11 @@ def _value_pass(cfg: ExperimentConfig, label: str, stopper: BaggedStopper, stopp
     that chunk's rows of the per-path vector ``name``.  Every per-path output is
     allocated at length K before the first chunk, so an impossible K fails at
     once, and is filled at the chunk's offset; reductions over the filled
-    vectors give the bytes of a whole-ensemble run.  Returns the stop result and
-    the filled vectors by name.
+    vectors give the bytes of a whole-ensemble run.  Returns the stop result of
+    the whole ensemble and the filled vectors by name.
     """
     per_path = per_path or {}
-    K, N = cfg.num_paths(label), stopper.num_steps
+    K = cfg.num_paths(label)
     stop_step = np.empty(K, dtype=np.int64)
     realized = np.empty(K)
     filled = {name: np.empty(K) for name in per_path}
@@ -147,8 +147,7 @@ def _value_pass(cfg: ExperimentConfig, label: str, stopper: BaggedStopper, stopp
             filled[name][rows] = of_chunk(chunk, res)
         start = rows.stop
         del chunk  # free these paths before the next chunk is simulated
-    counts = np.bincount(stop_step, minlength=N + 1)
-    return StopResult(stop_step, realized, counts, label, res.ensemble_seed, N, stopper_hash), filled
+    return replace(res, stop_step=stop_step, realized=realized), filled
 
 
 def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = True,
@@ -195,7 +194,7 @@ def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = T
     stopper_hash = stopper.content_hash()
     reports = []
     if value:
-        reports.append(value_of_rule(_value_pass(cfg, TRAIN_LABEL, stopper, stopper_hash)[0]))
+        reports.append(value_of_rule(_value_pass(cfg, TRAIN_LABEL, stopper)[0], stopper_hash))
     per_path = {}
     if full:
         per_path[VMAX] = lambda chunk, _: max_rewards(chunk, reward_spec)
@@ -203,9 +202,9 @@ def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = T
         per_path[LS_TEST] = lambda chunk, _: ls_forward(ls_rule, chunk, reward_spec)
     if boundary:
         per_path["stopped"] = lambda chunk, res: stopped_values(res, chunk)
-    res_test, filled = _value_pass(cfg, TEST_LABEL, stopper, stopper_hash, per_path)
+    res_test, filled = _value_pass(cfg, TEST_LABEL, stopper, per_path)
     if value:
-        reports.append(value_of_rule(res_test))
+        reports.append(value_of_rule(res_test, stopper_hash))
         if full:
             reports.append(v_max(filled[VMAX], res_test.ensemble_seed))
             if with_ls:

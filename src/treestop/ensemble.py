@@ -218,12 +218,14 @@ def gbm_chunks(spec: GbmSpec, num_paths: int, seed: int, label: str = TRAIN_LABE
     width = spec.dim + (barrier is not None)
     rng = np.random.Generator(np.random.Philox(seed))
     starts = _chunk_starts(spec, num_paths, width)
+    shape = (spec.steps + 1, min(starts.step, num_paths), width)
     for start in starts:
         # no local keeps the yielded chunk: once the caller drops it, it is freed
-        # before the next chunk is allocated
-        shape = (spec.steps + 1, min(starts.step, num_paths - start), width)
-        yield PathEnsemble(_fill(np.empty(shape), rng, spec, barrier), seed, label,
-                           has_barrier_indicator=barrier is not None)
+        # before the next chunk is allocated.  A shorter last chunk is simulated in
+        # a block of the full size too and stored compact by PathEnsemble, so it
+        # does not split the freed block that the next full chunk reuses
+        yield PathEnsemble(_fill(np.empty(shape)[:, :num_paths - start], rng, spec, barrier),
+                           seed, label, has_barrier_indicator=barrier is not None)
 
 
 def dump_csv(paths: PathEnsemble, path) -> None:

@@ -63,15 +63,11 @@ class BaggedStopper:
             preds[b] = self.trees[b][n].predict(feats)
         return preds
 
-    def step_votes(self, n: int, feats: np.ndarray) -> np.ndarray:
-        """(K,) count of bag trees voting STOP at step n for each feature row."""
-        return self.bag_predictions(n, feats).sum(axis=0, dtype=np.int32)
-
     def step_rule(self, n: int, feats: np.ndarray) -> np.ndarray:
         """Boolean g_n over feature rows (full-bag average projected at 1/2)."""
         if n >= self.num_steps:
             return np.ones(feats.shape[0], dtype=bool)
-        return self.step_votes(n, feats) * 2 >= self.bags
+        return self.bag_predictions(n, feats).sum(axis=0, dtype=np.int32) * 2 >= self.bags
 
     def serialize(self) -> str:
         lines = [
@@ -141,19 +137,15 @@ def reward_hash(spec: RewardSpec) -> str:
 class StopResult:
     """Realized stopping of one ensemble under a composed rule.
 
-    stop_step[k] is in 0..N, realized[k] the discounted reward collected at
-    that step, counts[n] the number of paths stopped at step n.
-    ``stopper_hash`` is left to the caller that reports the result: ``apply``
-    runs once per path chunk, and the hash belongs to the whole ensemble.
+    stop_step[k] is in 0..N and realized[k] the discounted reward collected at
+    that step; the other fields are the ensemble's provenance.
     """
 
     stop_step: np.ndarray
     realized: np.ndarray
-    counts: np.ndarray
     label: str
     ensemble_seed: int
     num_steps: int
-    stopper_hash: str | None = None
 
 
 def _check_compat(paths: PathEnsemble, spec: RewardSpec, feature_mode: str) -> None:
@@ -230,24 +222,16 @@ def train(paths: PathEnsemble, reward_spec: RewardSpec, config: TrainConfig) -> 
     return stopper
 
 
-def apply(stopper: BaggedStopper, paths: PathEnsemble) -> StopResult:
-    """Evaluate the composed first-hit rule on an ensemble.
+def first_hit(paths: PathEnsemble, spec: RewardSpec, fires) -> tuple[np.ndarray, np.ndarray]:
+    """Replay a first-hit stopping rule on an ensemble.
 
-    A path stops at the first n < N where at least half the bag trees vote
-    STOP on its step-n features, and at N otherwise.  Returns stop steps,
-    realized rewards and per-step stop counts, without the stopper hash.
-    Paths are independent, so applying to path chunks gives the rows of
-    applying to the whole ensemble.
+    ``fires(n, states)`` gets the step-n states of the paths still running, in
+    path order, and returns a boolean mask of those that stop at n < N; the
+    rest stop at N.  Returns the (K,) stop steps and the discounted rewards
+    collected there.  Paths are independent, so replaying path chunks gives
+    the rows of replaying the whole ensemble.
     """
-    spec = stopper.reward_spec
-    _check_compat(paths, spec, stopper.feature_mode)
-    if paths.num_steps != stopper.num_steps:
-        raise ValueError("ensemble and stopper disagree on the step count")
     K, N = paths.num_paths, paths.num_steps
-    expected = feature_dim(stopper.feature_mode, spec, paths.dim)
-    if stopper.trees[0][0].n_features != expected:
-        raise ValueError("feature dimension does not match the trained trees")
-
     stop_step = np.full(K, N, dtype=np.int64)
     realized = np.empty(K)
     alive = np.arange(K)
@@ -255,8 +239,7 @@ def apply(stopper: BaggedStopper, paths: PathEnsemble) -> StopResult:
         if alive.size == 0:
             break
         states = paths.state_at(n)[alive]
-        feats = features(stopper.feature_mode, spec, n, states)
-        fire = stopper.step_rule(n, feats)
+        fire = fires(n, states)
         if fire.any():
             hit = alive[fire]
             stop_step[hit] = n
@@ -264,5 +247,25 @@ def apply(stopper: BaggedStopper, paths: PathEnsemble) -> StopResult:
             alive = alive[~fire]
     if alive.size:
         realized[alive] = reward(spec, N, paths.state_at(N)[alive])
-    counts = np.bincount(stop_step, minlength=N + 1)
-    return StopResult(stop_step, realized, counts, paths.label, paths.seed, N)
+    return stop_step, realized
+
+
+def apply(stopper: BaggedStopper, paths: PathEnsemble) -> StopResult:
+    """Evaluate the composed first-hit rule on an ensemble (see ``first_hit``).
+
+    A path stops at the first n < N where at least half the bag trees vote
+    STOP on its step-n features, and at N otherwise.
+    """
+    spec = stopper.reward_spec
+    _check_compat(paths, spec, stopper.feature_mode)
+    if paths.num_steps != stopper.num_steps:
+        raise ValueError("ensemble and stopper disagree on the step count")
+    expected = feature_dim(stopper.feature_mode, spec, paths.dim)
+    if stopper.trees[0][0].n_features != expected:
+        raise ValueError("feature dimension does not match the trained trees")
+
+    def fires(n, states):
+        return stopper.step_rule(n, features(stopper.feature_mode, spec, n, states))
+
+    stop_step, realized = first_hit(paths, spec, fires)
+    return StopResult(stop_step, realized, paths.label, paths.seed, paths.num_steps)

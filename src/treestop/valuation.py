@@ -4,8 +4,8 @@
 bounds with standard errors.  ``max_rewards`` gives each path's maximal
 reward and ``v_max`` their mean, the anticipating upper reference.
 ``ls_fit`` fits a least-squares regression baseline for the one-dimensional
-put, ``ls_forward`` replays it path by path and ``ls_value`` reports both
-values.  The per-path functions (``max_rewards``, ``ls_forward``,
+put, ``ls_forward`` replays it through ``stopper.first_hit`` and ``ls_value``
+reports both values.  The per-path functions (``max_rewards``, ``ls_forward``,
 ``stopped_values``) work on any path chunk of an ensemble; every report is
 taken over the assembled per-path vector, so a chunked run reports the same
 bytes as a whole one.  ``oracle_enumerate`` and ``oracle_bruteforce`` solve
@@ -25,7 +25,7 @@ import numpy as np
 
 from treestop.ensemble import PathEnsemble, TRAIN_LABEL
 from treestop.reward import PUT, RewardSpec, reward
-from treestop.stopper import StopResult
+from treestop.stopper import StopResult, first_hit
 
 V_TRAIN = "v_train"
 V_TEST = "v_test"
@@ -57,13 +57,13 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return m, float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 
-def value_of_rule(result: StopResult) -> ValuationReport:
-    """Ensemble-average realized reward of a stopping result (a lower bound)."""
+def value_of_rule(result: StopResult, stopper_hash: str | None = None) -> ValuationReport:
+    """Ensemble-average realized reward of ``result`` (a lower bound) under ``stopper_hash``."""
     if result.realized.size == 0:
         raise ValueError("empty stopping result")
     m, se = _mean_se(result.realized)
     kind = V_TRAIN if result.label == TRAIN_LABEL else V_TEST
-    return ValuationReport(kind, m, se, result.ensemble_seed, result.stopper_hash)
+    return ValuationReport(kind, m, se, result.ensemble_seed, stopper_hash)
 
 
 def max_rewards(paths: PathEnsemble, spec: RewardSpec) -> np.ndarray:
@@ -137,28 +137,27 @@ def ls_fit(paths_train: PathEnsemble, spec: RewardSpec) -> LsRule:
 
 
 def ls_forward(rule: LsRule, paths: PathEnsemble, spec: RewardSpec) -> np.ndarray:
-    """Per-path payoff of the fitted rule replayed on ``paths``."""
+    """Per-path payoff of the fitted rule replayed first-hit on ``paths``.
+
+    With ``stop_value`` set every path stops at step 0.  Otherwise, at a step
+    with coefficients, a running path stops when it is in the money and its
+    immediate payoff is at least the fitted continuation; at every other step
+    no path stops.
+    """
     if paths.num_steps != spec.steps:
         raise ValueError("ensemble and reward spec disagree on the step count")
-    if rule.stop_value is not None:
-        return np.full(paths.num_paths, rule.stop_value)
-    N = spec.steps
-    values = reward(spec, N, paths.state_at(N))
-    done = np.zeros(paths.num_paths, dtype=bool)
-    for n in range(1, N):
-        if n not in rule.coefs:
-            continue
-        immediate = reward(spec, n, paths.state_at(n))
-        itm = immediate > 0
-        active = itm & ~done
-        if not active.any():
-            continue
-        fitted = _ls_basis(paths.state_at(n)[active, 0], spec.strike) @ rule.coefs[n]
-        exercise = immediate[active] >= fitted
-        rows = np.flatnonzero(active)[exercise]
-        values[rows] = immediate[rows]
-        done[rows] = True
-    return values
+
+    def fires(n, states):
+        # with stop_value set every path stops at step 0, which has no coefficients
+        fire = np.full(states.shape[0], rule.stop_value is not None)
+        if n in rule.coefs:
+            immediate = reward(spec, n, states)
+            itm = np.flatnonzero(immediate > 0)
+            fitted = _ls_basis(states[itm, 0], spec.strike) @ rule.coefs[n]
+            fire[itm] = immediate[itm] >= fitted
+        return fire
+
+    return first_hit(paths, spec, fires)[1]
 
 
 def ls_value(rule: LsRule, test_values: np.ndarray,
@@ -202,7 +201,6 @@ def oracle_enumerate(paths: PathEnsemble, spec: RewardSpec,
     for n in range(N - 1, -1, -1):
         uniq, inverse = groups[n]
         u_n = reward(spec, n, paths.state_at(n))
-        u_n = np.atleast_1d(u_n)
         for s in range(uniq.shape[0]):
             rows = np.flatnonzero(inverse == s)
             cont = sum((values[k] for k in rows), Fraction(0)) / len(rows)
@@ -228,8 +226,7 @@ def oracle_bruteforce(paths: PathEnsemble, spec: RewardSpec,
     if n_rules > max_rules:
         raise ValueError(f"{n_rules} rules exceed the enumeration bound {max_rules}")
 
-    u = np.stack([np.atleast_1d(reward(spec, n, paths.state_at(n)))
-                  for n in range(N + 1)], axis=1)
+    u = np.stack([reward(spec, n, paths.state_at(n)) for n in range(N + 1)], axis=1)
     state_idx = [groups[n][1] for n in range(N)]
     best = -np.inf
     # per step, all stop-mask variants indexed by assignment bits
@@ -311,7 +308,8 @@ def extract_boundary(result: StopResult, stopped: np.ndarray,
                      theoretical: np.ndarray | None = None) -> BoundaryScatter:
     """Collect (step, stopped value) pairs of a 1-D put stopping result.
 
-    ``stopped`` holds each path's state at its stop step (``stopped_values``).
+    ``stopped`` holds each path's state at its stop step (``stopped_values``);
+    per-step stop counts come from the assembled ``result.stop_step``.
     ``theoretical`` is an optional length-(N+1) array of boundary levels used
     to attach residuals to each scatter row.
     """
@@ -320,7 +318,7 @@ def extract_boundary(result: StopResult, stopped: np.ndarray,
     ids = np.flatnonzero(mask)
     steps = result.stop_step[ids]
     values = stopped[ids]
-    counts = result.counts
+    counts = np.bincount(result.stop_step, minlength=N + 1)
     mean_by_step = np.full(N + 1, np.nan)
     if ids.size:
         sums = np.bincount(steps, weights=values, minlength=N + 1)

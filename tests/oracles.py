@@ -2,8 +2,9 @@
 
 Everything here is deliberately written in the most literal way possible
 (plain loops, no shared code with the package internals beyond the
-``PathEnsemble`` and ``ValuationReport`` result types) so the tests check the
-real implementations against independently coded logic.  The European closed
+``PathEnsemble`` and ``ValuationReport`` result types and the ``reward``
+payoff) so the tests check the real implementations against independently
+coded logic.  The European closed
 form lives here because only tests use it.
 """
 
@@ -12,6 +13,7 @@ import math
 import numpy as np
 
 from treestop.ensemble import PathEnsemble
+from treestop.reward import reward
 from treestop.valuation import ValuationReport
 
 EUROPEAN = "european_bs"
@@ -151,6 +153,36 @@ def unique_removal(points, deltas):
     sums = np.bincount(inverse.reshape(-1), weights=dl, minlength=uniq.shape[0])
     order = np.argsort(first, kind="stable")
     return uniq[order], (sums / counts)[order], counts[order].astype(np.int64)
+
+
+def reference_ls_forward(rule, paths, spec):
+    """Per-path payoff of a regression rule by its own forward loop.
+
+    The reference for ``ls_forward``: with ``rule.stop_value`` set every path
+    collects it.  Otherwise every path starts with its step-N payoff, and at
+    each step n with coefficients the in-the-money paths not yet stopped, in
+    path order, go through one gemv against ``rule.coefs[n]``; a path whose
+    payoff is at least the fitted continuation collects it and is done.
+    """
+    if rule.stop_value is not None:
+        return np.full(paths.num_paths, rule.stop_value)
+    N = spec.steps
+    values = reward(spec, N, paths.state_at(N))
+    done = np.zeros(paths.num_paths, dtype=bool)
+    for n in range(1, N):
+        if n not in rule.coefs:
+            continue
+        immediate = reward(spec, n, paths.state_at(n))
+        active = (immediate > 0) & ~done
+        if not active.any():
+            continue
+        z = paths.state_at(n)[active, 0] / spec.strike
+        basis = np.stack([np.ones_like(z), z, z * z, z * z * z], axis=1)
+        exercise = immediate[active] >= basis @ rule.coefs[n]
+        rows = np.flatnonzero(active)[exercise]
+        values[rows] = immediate[rows]
+        done[rows] = True
+    return values
 
 
 def reference_gbm(spec, num_paths, seed, label, barrier=None):

@@ -283,6 +283,27 @@ def test_evaluate_memory_stays_below_half_the_test_ensemble(tmp_path):
     assert peak < ensemble_bytes / 2
 
 
+def test_barrier_evaluate_memory_stays_below_two_and_a_half_chunks(tmp_path):
+    # a streamed evaluate of this config peaks at about 2.14 chunks;
+    # a chunk kept past its iteration (+1 chunk), or a chunk's (N+1, k, 4)
+    # feature block kept while the next one is simulated (+0.44), breaks the bound
+    k_test, steps, dim = 20000, 53, 8
+    per_chunk = ensemble.CHUNK_BYTES // (8 * (steps + 1) * (dim + 1))
+    assert -(-k_test // per_chunk) == 5
+    common = ["--set", "kind=max_call_barrier", "--set", f"dim={dim}", "--set", "mu=0.05",
+              "--set", "maturity=3.0", "--set", f"steps={steps}", "--set", "barrier=170.0",
+              "--set", "feature_mode=four_features", "--set", "k_train=2000",
+              "--set", "bags=4", "--set", f"k_test={k_test}", "--out", str(tmp_path)]
+    assert main(["train", *common]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["evaluate", "--stopper", str(tmp_path / "stopper.txt"), *common]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * ensemble.CHUNK_BYTES
+
+
 def test_missing_stopper_file_exits_nonzero(tmp_path):
     rc = main(["evaluate", "--stopper", str(tmp_path / "missing.txt"),
                "--out", str(tmp_path)])

@@ -156,6 +156,8 @@ def test_gbm_chunks_concatenate_to_generate_gbm(monkeypatch, barrier, chunk_path
     assert [c.num_paths for c in chunks] == sizes
     for c in chunks:
         assert (c.seed, c.label, c.has_barrier_indicator) == (4, "test", barrier is not None)
+        # a shorter last chunk does not keep the full-size block it was simulated in
+        assert c.data.base is None or c.data.base.nbytes == c.data.nbytes
     joined = np.concatenate([c.data for c in chunks], axis=1)
     assert joined.tobytes() == whole.data.tobytes()
 

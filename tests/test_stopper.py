@@ -42,7 +42,7 @@ def test_always_stop_rule_stops_at_zero():
     res = apply(stopper, paths)
     assert np.all(res.stop_step == 0)
     assert np.all(res.realized == reward(PUT4, 0, np.array([90.0])))
-    assert res.counts[0] == paths.num_paths
+    assert np.bincount(res.stop_step, minlength=5)[0] == paths.num_paths
 
 
 def test_never_stop_rule_stops_at_terminal():
@@ -67,8 +67,9 @@ def test_counts_partition_paths():
     cfg = TrainConfig(4, GrowConfig(max_depth=3, min_node_size=5), "raw", 1)
     stopper = train(paths, PUT4, cfg)
     res = apply(stopper, paths)
-    assert res.counts.sum() == paths.num_paths
-    assert res.counts.shape == (5,)
+    counts = np.bincount(res.stop_step, minlength=5)
+    assert counts.sum() == paths.num_paths
+    assert counts.shape == (5,)
 
 
 def test_first_hit_consistency_and_decomposition():
@@ -120,14 +121,14 @@ def test_apply_is_first_hit_majority_of_single_vector_votes(bags):
                 for k in range(test.num_paths)]
     np.testing.assert_array_equal(res.stop_step, stop_step)
     np.testing.assert_array_equal(res.realized, realized)
-    np.testing.assert_array_equal(res.counts, np.bincount(stop_step, minlength=N + 1))
-    assert 0 < res.counts[N] < test.num_paths
+    assert 0 < np.bincount(res.stop_step, minlength=N + 1)[N] < test.num_paths
 
     for n in range(N):
         feats = features("four_features", rspec, n, test.state_at(n))
         preds = [stopper.trees[b][n].predict(feats) for b in range(bags)]
         np.testing.assert_array_equal(stopper.bag_predictions(n, feats), preds)
-        np.testing.assert_array_equal(stopper.step_votes(n, feats), np.sum(preds, axis=0))
+        np.testing.assert_array_equal(stopper.step_rule(n, feats),
+                                      np.sum(preds, axis=0) * 2 >= bags)
 
 
 def test_apply_rejects_mismatched_ensembles():

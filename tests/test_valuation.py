@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from treestop import ensemble
 from treestop.cart import CartTree, GrowConfig
+from treestop.config import ExperimentConfig
 from treestop.ensemble import GbmSpec, PathEnsemble, generate_gbm
 from treestop.reward import RewardSpec, reward
 from treestop.stopper import BaggedStopper, StopResult, TrainConfig, apply, train
@@ -19,7 +21,12 @@ from treestop.valuation import (
     value_of_rule,
 )
 
-from oracles import binomial_bermudan_put, european_report, european_value
+from oracles import (
+    binomial_bermudan_put,
+    european_report,
+    european_value,
+    reference_ls_forward,
+)
 
 PUT4 = RewardSpec("put", 0.05, 100.0, 1.0, 4)
 
@@ -95,6 +102,27 @@ def test_ls_deterministic_deep_itm_exercises_immediately():
     rep_tr, rep_te = ls_reports(tr, te, rspec)
     assert rep_tr.value == 99.0
     assert rep_te.value == 99.0
+
+
+@pytest.mark.parametrize("extra", [
+    dict(x0=85.0),
+    dict(x0=100.0),
+    dict(x0=110.0),
+    dict(x0=50.0, sigma=0.0),
+], ids=["itm", "atm", "otm", "zero_vol_deep_itm"])
+def test_ls_forward_matches_reference_loop_chunk_by_chunk(monkeypatch, extra):
+    # both sides feed the gemv the same in-the-money rows of the same chunk,
+    # so the replayed payoffs agree byte for byte
+    cfg = ExperimentConfig(steps=12, k_train=4000, k_test=1001, **extra)
+    spec = cfg.reward_spec()
+    rule = ls_fit(cfg.make_ensemble("training"), spec)
+    assert (rule.stop_value is not None) == (cfg.sigma == 0.0)
+    monkeypatch.setattr(ensemble, "CHUNK_BYTES", 400 * 8 * (cfg.steps + 1))
+    chunks = list(cfg.ensemble_chunks("test"))
+    assert [c.num_paths for c in chunks] == [400, 400, 201]
+    for chunk in chunks:
+        got = ls_forward(rule, chunk, spec)
+        assert got.tobytes() == reference_ls_forward(rule, chunk, spec).tobytes()
 
 
 def test_ls_close_to_binomial_oracle():
@@ -230,9 +258,7 @@ def make_result(stop_step, paths, spec):
         float(reward(spec, n, paths.state_at(n)[k]))
         for k, n in enumerate(stop_step)
     ])
-    counts = np.bincount(stop_step, minlength=paths.num_steps + 1)
-    return StopResult(stop_step, realized, counts, paths.label, paths.seed,
-                      paths.num_steps)
+    return StopResult(stop_step, realized, paths.label, paths.seed, paths.num_steps)
 
 
 def test_boundary_empty_when_all_terminal():
