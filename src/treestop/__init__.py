@@ -7,7 +7,7 @@ bounds on the optimal expected reward.
 """
 
 from treestop.ensemble import GbmSpec, PathEnsemble, gbm_chunks, generate_gbm
-from treestop.reward import RewardSpec, feature_dim, features, reward
+from treestop.reward import RewardSpec, features, reward
 from treestop.cart import (
     CartTree,
     DeltaSamples,
@@ -44,7 +44,6 @@ __all__ = [
     "RewardSpec",
     "reward",
     "features",
-    "feature_dim",
     "DeltaSamples",
     "CartTree",
     "GrowConfig",

@@ -31,6 +31,7 @@ from treestop.reward import MAX_CALL_BARRIER, PUT
 from treestop.stopper import BaggedStopper, StopResult, apply, train
 from treestop.valuation import (
     LS_TEST,
+    V_TEST,
     VMAX,
     extract_boundary,
     ls_fit,
@@ -61,7 +62,7 @@ def _write_valuation_csv(path, cfg: ExperimentConfig, reports) -> None:
         fh.write("kind,value,se,ensemble_seed,stopper_hash,reference_delta\n")
         for rep in reports:
             delta = ""
-            if cfg.reference and rep.kind == "v_test":
+            if cfg.reference and rep.kind == V_TEST:
                 delta = _fmt(rep.value - cfg.reference)
             fh.write(f"{rep.kind},{_fmt(rep.value)},{_fmt(rep.se)},"
                      f"{rep.ensemble_seed if rep.ensemble_seed is not None else ''},"
@@ -83,10 +84,8 @@ def _write_boundary_csv(out_dir, cfg, scatter) -> None:
     with open(os.path.join(out_dir, "boundary_summary.csv"), "w") as fh:
         fh.write(_provenance(cfg))
         fh.write("n,mean,count\n")
-        for n in range(scatter.counts.shape[0]):
-            mean = scatter.mean_by_step[n] if n < scatter.mean_by_step.shape[0] else float("nan")
-            mean_s = "" if np.isnan(mean) else _fmt(mean)
-            fh.write(f"{n},{mean_s},{scatter.counts[n]}\n")
+        for n, (mean, count) in enumerate(zip(scatter.mean_by_step, scatter.counts)):
+            fh.write(f"{n},{'' if np.isnan(mean) else _fmt(mean)},{count}\n")
 
 
 def _load_theoretical(path, steps: int) -> np.ndarray:
@@ -191,9 +190,9 @@ def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = T
     if not (value or boundary):
         return {}
 
-    stopper_hash = stopper.content_hash()
     reports = []
     if value:
+        stopper_hash = stopper.content_hash()
         reports.append(value_of_rule(_value_pass(cfg, TRAIN_LABEL, stopper)[0], stopper_hash))
     per_path = {}
     if full:
@@ -375,7 +374,8 @@ def _dispatch(args) -> int:
     elif args.command == "train":
         _run(_resolve(args), value=False)
     elif args.command == "evaluate":
-        _run(_resolve(args), args.stopper)
+        cfg = _resolve(args)
+        _run(cfg, args.stopper, boundary=cfg.with_boundary)
     elif args.command == "boundary":
         _run(_resolve(args), args.stopper, value=False, save=False, boundary=True,
              boundary_file=args.theoretical)

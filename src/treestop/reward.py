@@ -111,17 +111,6 @@ def _asset_block(spec: RewardSpec, states: np.ndarray) -> np.ndarray:
     return states[:, :-1] if spec.kind == MAX_CALL_BARRIER else states
 
 
-def feature_dim(mode: str, spec: RewardSpec, state_dim: int) -> int:
-    """Dimension of the feature vector produced for ``state_dim``-dim states."""
-    if mode == RAW:
-        return state_dim
-    if mode == RAW_PLUS_REWARD:
-        return state_dim + 1
-    if mode == FOUR_FEATURES:
-        return 4
-    raise ValueError(f"unknown feature mode {mode!r}")
-
-
 def features(mode: str, spec: RewardSpec, n: int, x) -> np.ndarray:
     """Map states to the feature vectors trees are trained on.
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from treestop.cart import CartTree, GrowConfig, grow, removal
 from treestop.ensemble import PathEnsemble
-from treestop.reward import RewardSpec, feature_dim, features, reward
+from treestop.reward import RewardSpec, features, reward
 
 
 @dataclass(frozen=True)
@@ -47,13 +47,12 @@ class BaggedStopper:
     rule fires.
     """
 
-    def __init__(self, trees, feature_mode: str, reward_spec: RewardSpec, num_steps: int):
+    def __init__(self, trees, feature_mode: str, reward_spec: RewardSpec):
         self.trees = trees
         self.bags = len(trees)
         self.feature_mode = feature_mode
         self.reward_spec = reward_spec
-        self.num_steps = num_steps
-        if any(len(row) != num_steps for row in trees):
+        if any(len(row) != reward_spec.steps for row in trees):
             raise ValueError("need one tree per bag per decision step")
 
     def bag_predictions(self, n: int, feats: np.ndarray) -> np.ndarray:
@@ -65,7 +64,7 @@ class BaggedStopper:
 
     def step_rule(self, n: int, feats: np.ndarray) -> np.ndarray:
         """Boolean g_n over feature rows (full-bag average projected at 1/2)."""
-        if n >= self.num_steps:
+        if n >= self.reward_spec.steps:
             return np.ones(feats.shape[0], dtype=bool)
         return self.bag_predictions(n, feats).sum(axis=0, dtype=np.int32) * 2 >= self.bags
 
@@ -73,12 +72,12 @@ class BaggedStopper:
         lines = [
             "stopper v1",
             f"bags {self.bags}",
-            f"steps {self.num_steps}",
+            f"steps {self.reward_spec.steps}",
             f"feature_mode {self.feature_mode}",
             f"reward_hash {reward_hash(self.reward_spec)}",
         ]
         for b in range(self.bags):
-            for n in range(self.num_steps):
+            for n in range(self.reward_spec.steps):
                 lines.append(f"begintree bag={b} step={n}")
                 lines.append(self.trees[b][n].to_text())
                 lines.append("endtree")
@@ -105,6 +104,9 @@ class BaggedStopper:
         if header["reward_hash"] != reward_hash(reward_spec):
             raise ValueError("stopper was trained for a different reward spec")
         bags, steps = int(header["bags"]), int(header["steps"])
+        if steps != reward_spec.steps:
+            raise ValueError(f"stopper dump header 'steps' is {steps}, "
+                             f"the reward spec has {reward_spec.steps}")
         found = sum(ln.startswith("begintree") for ln in lines[i:])
         if found != bags * steps:
             raise ValueError(f"stopper dump has {found} trees, header declares {bags} x {steps}")
@@ -123,7 +125,7 @@ class BaggedStopper:
             except ValueError as exc:
                 raise ValueError(f"{head}: {exc}") from None
             i = end + 1
-        return cls(trees, header["feature_mode"], reward_spec, steps)
+        return cls(trees, header["feature_mode"], reward_spec)
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.serialize().encode()).hexdigest()[:12]
@@ -148,14 +150,16 @@ class StopResult:
     num_steps: int
 
 
-def _check_compat(paths: PathEnsemble, spec: RewardSpec, feature_mode: str) -> None:
+def _check_compat(paths: PathEnsemble, spec: RewardSpec, feature_mode: str) -> int:
+    """Reject an ensemble the spec and feature mode cannot read; return the feature width."""
+    if paths.num_steps != spec.steps:
+        raise ValueError("reward spec and ensemble disagree on the step count")
     if spec.kind == "put" and paths.dim != 1:
         raise ValueError("put reward needs one-dimensional paths")
     if spec.kind == "max_call_barrier" and not paths.has_barrier_indicator:
         raise ValueError("knock-out reward needs the barrier indicator coordinate")
     # raises on impossible feature/state combinations
-    feats = features(feature_mode, spec, 0, paths.state_at(0)[:1])
-    del feats
+    return features(feature_mode, spec, 0, paths.state_at(0)[:1]).shape[1]
 
 
 def loo_stop_mask(votes: np.ndarray, own_vote: np.ndarray, bags: int) -> np.ndarray:
@@ -167,18 +171,16 @@ def loo_stop_mask(votes: np.ndarray, own_vote: np.ndarray, bags: int) -> np.ndar
     return (votes - own_vote) * 2 >= bags - 1
 
 
-def bag_deltas(u_at_tau: np.ndarray, u_now: np.ndarray, bag_rows: np.ndarray, K: int) -> np.ndarray:
-    """Per-path reward increments of one bag, in 1/K units."""
-    return (u_at_tau[bag_rows] - u_now[bag_rows]) / K
-
-
 def train(paths: PathEnsemble, reward_spec: RewardSpec, config: TrainConfig) -> BaggedStopper:
     """Fit the bagged stopper on a training ensemble.
 
     Paths are shuffled with a seeded Philox stream, truncated to a multiple of
-    the bag count, and cut into contiguous equally sized bags.  Steps run
-    strictly backward.  Within a step each bag grows its tree in turn, then
-    the leave-one-bag-out vote moves each path's continuation stop.
+    the bag count, and cut into contiguous equally sized bags.  The bagged
+    paths are then listed bag by bag, each bag's paths in path order, in one
+    index ``order``: every step gathers its features and rewards through it
+    once, and bag b is rows b*s:(b+1)*s of those arrays (s paths per bag).
+    Steps run strictly backward.  Within a step each bag grows its tree in
+    turn, then the leave-one-bag-out vote moves each path's continuation stop.
     """
     _check_compat(paths, reward_spec, config.feature_mode)
     B = config.bags
@@ -186,38 +188,30 @@ def train(paths: PathEnsemble, reward_spec: RewardSpec, config: TrainConfig) -> 
     if K_all < B:
         raise ValueError(f"need at least {B} paths for {B} bags")
     N = paths.num_steps
-    if reward_spec.steps != N:
-        raise ValueError("reward spec and ensemble disagree on the step count")
-    K = B * (K_all // B)
+    s = K_all // B
+    K = B * s
     rng = np.random.Generator(np.random.Philox(config.seed_bagging))
-    perm = rng.permutation(K_all)[:K]
-    bag_size = K // B
-    bag_rows = [np.sort(perm[b * bag_size:(b + 1) * bag_size]) for b in range(B)]
-    bag_of = np.full(K_all, -1, dtype=np.int32)
-    for b, rows in enumerate(bag_rows):
-        bag_of[rows] = b
-    used = np.flatnonzero(bag_of >= 0)
-    own = bag_of[used]
+    order = np.sort(rng.permutation(K_all)[:K].reshape(B, s), axis=1).ravel()
+    bags = [slice(b * s, (b + 1) * s) for b in range(B)]
+    own = np.repeat(np.arange(B), s)
+    columns = np.arange(K)
 
     # Rewards are evaluated per step; the reward at each path's current
     # continuation stop is carried along instead of materialising a K x (N+1)
     # matrix.
-    u_at_tau = reward(reward_spec, N, paths.state_at(N))
-    stopper = BaggedStopper([[None] * N for _ in range(B)], config.feature_mode,
-                            reward_spec, N)
-    columns = np.arange(used.shape[0])
+    u_at_tau = reward(reward_spec, N, paths.state_at(N))[order]
+    stopper = BaggedStopper([[None] * N for _ in range(B)], config.feature_mode, reward_spec)
 
     for n in range(N - 1, -1, -1):
-        feats_n = features(config.feature_mode, reward_spec, n, paths.state_at(n))
-        u_n = reward(reward_spec, n, paths.state_at(n))
-        for b, rows in enumerate(bag_rows):
-            samples = removal(feats_n[rows], bag_deltas(u_at_tau, u_n, rows, K))
+        feats_n = features(config.feature_mode, reward_spec, n, paths.state_at(n))[order]
+        u_n = reward(reward_spec, n, paths.state_at(n))[order]
+        for b, rows in enumerate(bags):
+            samples = removal(feats_n[rows], (u_at_tau[rows] - u_n[rows]) / K)
             stopper.trees[b][n] = grow(samples, config.grow)
         # leave-one-out update of each bag's continuation stop
-        preds = stopper.bag_predictions(n, feats_n[used])
+        preds = stopper.bag_predictions(n, feats_n)
         stop = loo_stop_mask(preds.sum(axis=0, dtype=np.int32), preds[own, columns], B)
-        rows = used[stop]
-        u_at_tau[rows] = u_n[rows]
+        u_at_tau[stop] = u_n[stop]
 
     return stopper
 
@@ -257,11 +251,7 @@ def apply(stopper: BaggedStopper, paths: PathEnsemble) -> StopResult:
     STOP on its step-n features, and at N otherwise.
     """
     spec = stopper.reward_spec
-    _check_compat(paths, spec, stopper.feature_mode)
-    if paths.num_steps != stopper.num_steps:
-        raise ValueError("ensemble and stopper disagree on the step count")
-    expected = feature_dim(stopper.feature_mode, spec, paths.dim)
-    if stopper.trees[0][0].n_features != expected:
+    if _check_compat(paths, spec, stopper.feature_mode) != stopper.trees[0][0].n_features:
         raise ValueError("feature dimension does not match the trained trees")
 
     def fires(n, states):

@@ -15,6 +15,7 @@ from treestop.config import (
     parse_config_text,
 )
 from treestop.reward import reward
+from treestop.stopper import BaggedStopper
 
 
 SMALL = dict(kind="put", dim=1, x0=95.0, sigma=0.3, maturity=1.0, steps=6,
@@ -198,10 +199,11 @@ def test_train_then_evaluate_match_run_experiment(tmp_path):
     out = tmp_path / "run"
     common = ["--set", "k_train=300", "--set", "k_test=300", "--set", "steps=5",
               "--set", "bags=3", "--set", "x0=95", "--set", "with_ls=true",
-              "--out", str(out)]
+              "--set", "with_boundary=true", "--out", str(out)]
     assert main(["train", *common]) == 0
     assert main(["evaluate", "--stopper", str(out / "stopper.txt"), *common]) == 0
-    names = ("config_resolved.cfg", "stopper.txt", "valuation.csv")
+    names = ("config_resolved.cfg", "stopper.txt", "valuation.csv", "boundary.csv",
+             "boundary_summary.csv")
     from_cli = {n: (out / n).read_bytes() for n in names}
     run_experiment(parse_config_text((out / "config_resolved.cfg").read_text()))
     for n in names:
@@ -217,6 +219,18 @@ def test_boundary_subcommand_with_theoretical_file(tmp_path):
     assert rc == 0
     header = (tmp_path / "boundary.csv").read_text().splitlines()[1]
     assert header == "n,x,path_id,residual"
+
+
+def test_boundary_subcommand_does_not_hash_the_stopper(tmp_path, monkeypatch):
+    # the stopper hash only labels valuation rows, which boundary runs never write
+    def no_hash(self):
+        raise AssertionError("boundary hashed the stopper")
+
+    monkeypatch.setattr(BaggedStopper, "content_hash", no_hash)
+    rc = main(["boundary", "--set", "k_train=200", "--set", "k_test=200",
+               "--set", "steps=4", "--set", "bags=2", "--out", str(tmp_path)])
+    assert rc == 0
+    assert (tmp_path / "boundary_summary.csv").exists()
 
 
 @pytest.mark.parametrize("text, message", [

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treestop.reward import RewardSpec, feature_dim, features, reward
+from treestop.reward import RewardSpec, features, reward
 
 
 PUT50 = RewardSpec("put", 0.05, 100.0, 1.0, 50)
@@ -72,9 +72,10 @@ def test_raw_plus_reward_concatenates():
 
 
 def test_feature_dims():
-    assert feature_dim("raw", CALL9, 5) == 5
-    assert feature_dim("raw_plus_reward", CALL9, 5) == 6
-    assert feature_dim("four_features", CALL9, 5) == 4
+    states = np.full((3, 5), 90.0)
+    assert features("raw", CALL9, 0, states).shape == (3, 5)
+    assert features("raw_plus_reward", CALL9, 0, states).shape == (3, 6)
+    assert features("four_features", CALL9, 0, states).shape == (3, 4)
 
 
 def test_four_features_needs_two_assets():

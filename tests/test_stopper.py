@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from treestop.stopper import (
     BaggedStopper,
     TrainConfig,
     apply,
-    bag_deltas,
     loo_stop_mask,
     train,
 )
@@ -21,7 +21,7 @@ from oracles import deterministic_best_stop
 def constant_stopper(weight, bags, steps, spec, feature_mode="raw", n_features=1):
     trees = [[CartTree.single_leaf(weight, n_features) for _ in range(steps)]
              for _ in range(bags)]
-    return BaggedStopper(trees, feature_mode, spec, steps)
+    return BaggedStopper(trees, feature_mode, spec)
 
 
 def small_put_ensemble(num_paths=64, steps=4, seed=3, x0=100.0, label="training"):
@@ -57,7 +57,7 @@ def test_half_vote_reaches_projector_threshold():
     paths = small_put_ensemble(x0=90.0)
     trees = [[CartTree.single_leaf(1, 1) for _ in range(4)],
              [CartTree.single_leaf(0, 1) for _ in range(4)]]
-    stopper = BaggedStopper(trees, "raw", PUT4, 4)
+    stopper = BaggedStopper(trees, "raw", PUT4)
     res = apply(stopper, paths)
     assert np.all(res.stop_step == 0)
 
@@ -139,6 +139,13 @@ def test_apply_rejects_mismatched_ensembles():
         apply(stopper, other)
 
 
+def test_apply_rejects_trees_of_another_feature_width():
+    # raw features of a 1-D put are one wide; these trees read two features
+    stopper = constant_stopper(0, 2, 4, PUT4, n_features=2)
+    with pytest.raises(ValueError, match="feature dimension"):
+        apply(stopper, small_put_ensemble())
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -187,6 +194,25 @@ def test_training_is_deterministic():
     assert a.serialize() == b.serialize()
 
 
+def test_training_memory_stays_below_a_quarter_of_the_ensemble():
+    # training holds one step's gathered features and rewards at a time, about
+    # 0.14 of this ensemble; a bag-ordered copy of the whole ensemble (+1.0) or
+    # every step's features held at once (+0.47) breaks the bound
+    from treestop.config import ExperimentConfig
+
+    cfg = ExperimentConfig(kind="max_call_barrier", dim=8, mu=0.05, maturity=3.0, steps=53,
+                           barrier=170.0, feature_mode="four_features", k_train=20000,
+                           bags=10)
+    paths = cfg.make_ensemble("training")
+    tracemalloc.start()
+    try:
+        train(paths, cfg.reward_spec(), cfg.train_config())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * paths.data.nbytes
+
+
 def test_too_few_paths_rejected():
     paths = small_put_ensemble(num_paths=5)
     with pytest.raises(ValueError):
@@ -228,13 +254,6 @@ def test_loo_threshold_is_half_of_remaining_bags():
     votes = np.array([5, 4])
     own = np.array([0, 0])
     np.testing.assert_array_equal(loo_stop_mask(votes, own, 10), [True, False])
-
-
-def test_bag_deltas_scale_and_rows():
-    u_tau = np.array([4.0, 8.0, 0.0, 2.0])
-    u_now = np.array([1.0, 1.0, 1.0, 1.0])
-    rows = np.array([1, 3])
-    np.testing.assert_allclose(bag_deltas(u_tau, u_now, rows, 4), [7 / 4, 1 / 4])
 
 
 def test_reward_augmented_features_reproduce_published_max_call():
@@ -309,6 +328,10 @@ MALFORMED_DUMPS = {
     "feature out of range": (lambda t: t.replace("0 split 0 1.0 1 2", "0 split 1 1.0 1 2"),
                              "0 split 1 1.0 1 2"),
     "node count": (lambda t: t.replace("tree nodes=3", "tree nodes=4"), "4 nodes"),
+    # a well-formed 2 x 3 dump that carries the 4-step spec's reward hash
+    "steps differ from spec": (lambda t: re.sub(r"begintree bag=\d step=3\n.*?endtree\n", "",
+                                                t.replace("steps 4", "steps 3"), flags=re.S),
+                               "'steps' is 3"),
 }
 
 

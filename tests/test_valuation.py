@@ -33,7 +33,7 @@ PUT4 = RewardSpec("put", 0.05, 100.0, 1.0, 4)
 
 def constant_stopper(weight, bags, steps, spec):
     trees = [[CartTree.single_leaf(weight, 1) for _ in range(steps)] for _ in range(bags)]
-    return BaggedStopper(trees, "raw", spec, steps)
+    return BaggedStopper(trees, "raw", spec)
 
 
 # ---------------------------------------------------------------------------
