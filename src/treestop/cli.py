@@ -26,9 +26,9 @@ import numpy as np
 
 from treestop import references
 from treestop.config import ConfigError, ExperimentConfig, load_config
-from treestop.ensemble import TRAIN_LABEL, TEST_LABEL, dump_csv
+from treestop.ensemble import TRAIN_LABEL, TEST_LABEL, dump_csv, generate_gbm
 from treestop.reward import MAX_CALL_BARRIER, PUT
-from treestop.stopper import BaggedStopper, StopResult, apply, train
+from treestop.stopper import BaggedStopper, StopResult, apply, check_compat, train
 from treestop.valuation import (
     LS_TEST,
     V_TEST,
@@ -150,40 +150,44 @@ def _value_pass(cfg: ExperimentConfig, label: str, stopper: BaggedStopper,
 
 
 def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = True,
-         save: bool = True, boundary: bool = False, boundary_file: str | None = None) -> dict:
+         boundary: bool = False, boundary_file: str | None = None) -> dict:
     """Simulate, fit (or load ``stopper_file``), apply and value one config.
 
-    Only the ensembles the requested stages need are simulated.  The training
-    ensemble is held whole only to fit the stopper or the cfg.with_ls
-    regression; every valuation streams its ensemble in path chunks
-    (``_value_pass``).  ``save`` writes a fitted stopper (stopper.txt,
-    config_resolved.cfg) and, with ``value``, the full report list (v_max and
-    the cfg.with_ls baseline included) to valuation.csv; unsaved runs value
-    only v_train and v_test.  ``boundary`` writes the test ensemble's boundary
-    CSVs, with residuals against ``boundary_file`` when given.  Returns the
-    reports keyed by kind.
+    What a run writes depends only on the config and the stages it runs:
+    fitting writes config_resolved.cfg and stopper.txt; ``value`` writes
+    valuation.csv with v_train, v_test and v_max, plus ls_train and ls_test
+    when cfg.with_ls; ``boundary`` writes the test ensemble's boundary CSVs,
+    with residuals against ``boundary_file`` when given.  The config, the
+    feature mode and the cfg.with_ls scope are checked before any ensemble is
+    simulated.  The training ensemble is held whole only to fit the stopper or
+    the cfg.with_ls regression; every valuation streams its ensemble in path
+    chunks (``_value_pass``).  Returns the reports keyed by kind.
     """
     fit = stopper_file is None
-    full = value and save
-    with_ls = full and cfg.with_ls
+    with_ls = value and cfg.with_ls
     theoretical = _load_theoretical(boundary_file, cfg.steps) if boundary_file else None
-    if save or boundary:
-        os.makedirs(cfg.out, exist_ok=True)
-    if fit and save:
-        with open(os.path.join(cfg.out, "config_resolved.cfg"), "w") as fh:
-            fh.write(cfg.serialize())
     reward_spec = cfg.reward_spec()
-    if not fit:
+    if fit:
+        train_config = cfg.train_config()
+    else:
         with open(stopper_file) as fh:
             stopper = BaggedStopper.parse(fh.read(), reward_spec)
+    # a one-path ensemble of the same spec meets every check the full ones would
+    probe = generate_gbm(cfg.gbm_spec(), 1, cfg.seed_train, TRAIN_LABEL, reward_spec.barrier)
+    check_compat(probe, reward_spec, train_config.feature_mode if fit else stopper.feature_mode)
+    if with_ls:
+        ls_fit(probe, reward_spec)  # raises outside the baseline's scope
+    os.makedirs(cfg.out, exist_ok=True)
+    if fit:
+        with open(os.path.join(cfg.out, "config_resolved.cfg"), "w") as fh:
+            fh.write(cfg.serialize())
     if fit or with_ls:
         paths_train = cfg.make_ensemble(TRAIN_LABEL)
         if fit:
-            stopper = train(paths_train, reward_spec, cfg.train_config())
-            if save:
-                with open(os.path.join(cfg.out, "stopper.txt"), "w") as fh:
-                    fh.write(_provenance(cfg))
-                    fh.write(stopper.serialize())
+            stopper = train(paths_train, reward_spec, train_config)
+            with open(os.path.join(cfg.out, "stopper.txt"), "w") as fh:
+                fh.write(_provenance(cfg))
+                fh.write(stopper.serialize())
         if with_ls:
             ls_rule = ls_fit(paths_train, reward_spec)
         del paths_train
@@ -191,11 +195,10 @@ def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = T
         return {}
 
     reports = []
+    per_path = {}
     if value:
         stopper_hash = stopper.content_hash()
         reports.append(value_of_rule(_value_pass(cfg, TRAIN_LABEL, stopper)[0], stopper_hash))
-    per_path = {}
-    if full:
         per_path[VMAX] = lambda chunk, _: max_rewards(chunk, reward_spec)
     if with_ls:
         per_path[LS_TEST] = lambda chunk, _: ls_forward(ls_rule, chunk, reward_spec)
@@ -204,23 +207,22 @@ def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = T
     res_test, filled = _value_pass(cfg, TEST_LABEL, stopper, per_path)
     if value:
         reports.append(value_of_rule(res_test, stopper_hash))
-        if full:
-            reports.append(v_max(filled[VMAX], res_test.ensemble_seed))
-            if with_ls:
-                reports.extend(ls_value(ls_rule, filled[LS_TEST], res_test.ensemble_seed))
-            _write_valuation_csv(os.path.join(cfg.out, "valuation.csv"), cfg, reports)
+        reports.append(v_max(filled[VMAX], res_test.ensemble_seed))
+        if with_ls:
+            reports.extend(ls_value(ls_rule, filled[LS_TEST], res_test.ensemble_seed))
+        _write_valuation_csv(os.path.join(cfg.out, "valuation.csv"), cfg, reports)
     if boundary:
         _write_boundary_csv(cfg.out, cfg, extract_boundary(res_test, filled["stopped"],
                                                            theoretical))
     return {rep.kind: rep for rep in reports}
 
 
-def run_experiment(cfg: ExperimentConfig, boundary_file: str | None = None) -> dict:
+def run_experiment(cfg: ExperimentConfig) -> dict:
     """Simulate, fit, evaluate, and write all artifacts for one config.
 
     Returns the in-memory reports keyed by kind, for callers that want them.
     """
-    return _run(cfg, boundary=cfg.with_boundary, boundary_file=boundary_file)
+    return _run(cfg, boundary=cfg.with_boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -266,20 +268,24 @@ def benchmark_grid(suite: str) -> list[ExperimentConfig]:
 
 
 def run_benchmark(suite: str, scale: float, out_path: str) -> None:
-    """Run one suite with path counts scaled by ``scale``; write the table CSV."""
+    """Run one suite with path counts scaled by ``scale``; write the table CSV.
+
+    Row i is a ``run_experiment`` run with out = ``<out_path>.runs/<i>``.
+    """
     if scale <= 0:
         raise ConfigError("scale must be positive")
     rows = benchmark_grid(suite)
     with open(out_path, "w") as fh:
         fh.write(f"# suite={suite} scale={_fmt(scale)}\n")
         fh.write("dim,x0,sigma,maturity,steps,k_train,k_test,"
-                 "v_train,v_test,se,reference,delta,seconds\n")
-        for cfg in rows:
+                 "v_train,v_test,se,reference,delta,v_max,ls_test,seconds\n")
+        for i, cfg in enumerate(rows):
             cfg = replace(cfg,
                           k_train=max(cfg.bags, int(cfg.k_train * scale)),
-                          k_test=max(2, int(cfg.k_test * scale)))
+                          k_test=max(2, int(cfg.k_test * scale)),
+                          out=os.path.join(f"{out_path}.runs", str(i)))
             started = time.perf_counter()
-            reports = _run(cfg, save=False)
+            reports = run_experiment(cfg)
             elapsed = time.perf_counter() - started
             rep_test = reports["v_test"]
             fh.write(",".join([
@@ -287,6 +293,7 @@ def run_benchmark(suite: str, scale: float, out_path: str) -> None:
                 str(cfg.steps), str(cfg.k_train), str(cfg.k_test),
                 _fmt(reports["v_train"].value), _fmt(rep_test.value), _fmt(rep_test.se),
                 _fmt(cfg.reference), _fmt(rep_test.value - cfg.reference),
+                _fmt(reports[VMAX].value), _fmt(reports[LS_TEST].value) if cfg.with_ls else "",
                 f"{elapsed:.1f}",
             ]) + "\n")
             fh.flush()
@@ -377,7 +384,7 @@ def _dispatch(args) -> int:
         cfg = _resolve(args)
         _run(cfg, args.stopper, boundary=cfg.with_boundary)
     elif args.command == "boundary":
-        _run(_resolve(args), args.stopper, value=False, save=False, boundary=True,
+        _run(_resolve(args), args.stopper, value=False, boundary=True,
              boundary_file=args.theoretical)
     elif args.command == "benchmark":
         run_benchmark(args.suite, args.scale, args.out)

@@ -21,7 +21,7 @@ import numpy as np
 
 from treestop.cart import CartTree, GrowConfig, grow, removal
 from treestop.ensemble import PathEnsemble
-from treestop.reward import RewardSpec, features, reward
+from treestop.reward import FEATURE_MODES, RewardSpec, features, reward
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.bags < 2:
             raise ValueError("need at least two bags for cross-validation")
+        if self.feature_mode not in FEATURE_MODES:
+            raise ValueError(f"unknown feature mode {self.feature_mode!r}")
 
 
 class BaggedStopper:
@@ -150,7 +152,7 @@ class StopResult:
     num_steps: int
 
 
-def _check_compat(paths: PathEnsemble, spec: RewardSpec, feature_mode: str) -> int:
+def check_compat(paths: PathEnsemble, spec: RewardSpec, feature_mode: str) -> int:
     """Reject an ensemble the spec and feature mode cannot read; return the feature width."""
     if paths.num_steps != spec.steps:
         raise ValueError("reward spec and ensemble disagree on the step count")
@@ -182,7 +184,7 @@ def train(paths: PathEnsemble, reward_spec: RewardSpec, config: TrainConfig) -> 
     Steps run strictly backward.  Within a step each bag grows its tree in
     turn, then the leave-one-bag-out vote moves each path's continuation stop.
     """
-    _check_compat(paths, reward_spec, config.feature_mode)
+    check_compat(paths, reward_spec, config.feature_mode)
     B = config.bags
     K_all = paths.num_paths
     if K_all < B:
@@ -223,8 +225,11 @@ def first_hit(paths: PathEnsemble, spec: RewardSpec, fires) -> tuple[np.ndarray,
     path order, and returns a boolean mask of those that stop at n < N; the
     rest stop at N.  Returns the (K,) stop steps and the discounted rewards
     collected there.  Paths are independent, so replaying path chunks gives
-    the rows of replaying the whole ensemble.
+    the rows of replaying the whole ensemble.  Raises ValueError when the
+    ensemble and ``spec`` disagree on the step count.
     """
+    if paths.num_steps != spec.steps:
+        raise ValueError("ensemble and reward spec disagree on the step count")
     K, N = paths.num_paths, paths.num_steps
     stop_step = np.full(K, N, dtype=np.int64)
     realized = np.empty(K)
@@ -251,7 +256,7 @@ def apply(stopper: BaggedStopper, paths: PathEnsemble) -> StopResult:
     STOP on its step-n features, and at N otherwise.
     """
     spec = stopper.reward_spec
-    if _check_compat(paths, spec, stopper.feature_mode) != stopper.trees[0][0].n_features:
+    if check_compat(paths, spec, stopper.feature_mode) != stopper.trees[0][0].n_features:
         raise ValueError("feature dimension does not match the trained trees")
 
     def fires(n, states):

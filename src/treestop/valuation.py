@@ -144,8 +144,6 @@ def ls_forward(rule: LsRule, paths: PathEnsemble, spec: RewardSpec) -> np.ndarra
     immediate payoff is at least the fitted continuation; at every other step
     no path stops.
     """
-    if paths.num_steps != spec.steps:
-        raise ValueError("ensemble and reward spec disagree on the step count")
 
     def fires(n, states):
         # with stop_value set every path stops at step 0, which has no coefficients

@@ -233,6 +233,19 @@ def test_boundary_subcommand_does_not_hash_the_stopper(tmp_path, monkeypatch):
     assert (tmp_path / "boundary_summary.csv").exists()
 
 
+def test_boundary_replays_the_stopper_it_fits(tmp_path):
+    # a fit-inline boundary run writes its stopper; replaying that file gives the same CSVs
+    common = ["--set", "k_train=400", "--set", "k_test=400", "--set", "steps=6",
+              "--set", "bags=4", "--set", "x0=90", "--out", str(tmp_path)]
+    assert main(["boundary", *common]) == 0
+    assert (tmp_path / "config_resolved.cfg").exists()
+    names = ("boundary.csv", "boundary_summary.csv")
+    fitted = {n: (tmp_path / n).read_bytes() for n in names}
+    assert main(["boundary", "--stopper", str(tmp_path / "stopper.txt"), *common]) == 0
+    for n in names:
+        assert (tmp_path / n).read_bytes() == fitted[n], n
+
+
 @pytest.mark.parametrize("text, message", [
     ("n,b\n0,86\n1\n2,86\n", "line 3: expected 'n,b(n)'"),
     ("n,b\n# no data\n\n", "no data rows"),
@@ -254,6 +267,44 @@ def test_bad_theoretical_file_fails_before_simulating(tmp_path, capsys, monkeypa
     assert rc == 2
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "out").exists()
+
+
+MAX_CALL_3 = ["kind=max_call", "dim=3", "mu=-0.05", "maturity=3", "steps=9", "bags=2"]
+
+
+def overrides(settings):
+    return [arg for item in settings for arg in ("--set", item)]
+
+
+@pytest.mark.parametrize("command, settings, message", [
+    ("train", ["splitter=bogus"], "unknown splitter 'bogus'"),
+    ("train", ["bags=1"], "need at least two bags"),
+    ("train", ["max_depth=-1"], "max_depth must be >= 0"),
+    ("train", ["min_node_size=0"], "min_node_size must be >= 1"),
+    ("train", ["feature_mode=bogus"], "unknown feature mode 'bogus'"),
+    ("train", ["feature_mode=four_features"], "four_features needs at least two asset"),
+    ("train", ["dim=2"], "put reward needs one-dimensional paths"),
+    ("evaluate", [*MAX_CALL_3, "with_ls=true"],
+     "regression baseline is scoped to the one-dimensional put"),
+], ids=["splitter", "bags", "max_depth", "min_node_size", "feature_mode",
+        "four_features_put", "put_dim", "ls_scope"])
+def test_bad_config_fails_before_simulating(tmp_path, capsys, monkeypatch, command,
+                                            settings, message):
+    common = ["--set", "k_train=2000000", "--set", "k_test=2000", "--out", str(tmp_path)]
+    if command == "evaluate":
+        assert main(["train", *overrides([*MAX_CALL_3, "k_train=200"]),
+                     "--out", str(tmp_path)]) == 0
+        common += ["--stopper", str(tmp_path / "stopper.txt")]
+    capsys.readouterr()
+
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("an ensemble was built before the config was checked")
+
+    monkeypatch.setattr(ExperimentConfig, "make_ensemble", no_ensemble)
+    monkeypatch.setattr(ExperimentConfig, "ensemble_chunks", no_ensemble)
+    assert main([command, *common, *overrides(settings)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_invalid_config_exits_nonzero(tmp_path, capsys):
@@ -373,12 +424,24 @@ def test_barrier_grid():
     assert all(c.barrier == 170.0 and c.steps == 53 for c in rows)
 
 
-def test_benchmark_run_tiny_scale(tmp_path):
+@pytest.mark.parametrize("suite, rows, first_dim, reference, with_ls", [
+    ("barrier", 9, "4", 34.744, False),
+    ("put", 20, "1", 15.285, True),
+], ids=["barrier", "put"])
+def test_benchmark_run_tiny_scale(tmp_path, suite, rows, first_dim, reference, with_ls):
     out = tmp_path / "bench.csv"
-    rc = main(["benchmark", "barrier", "--scale", "0.002", "--out", str(out)])
+    rc = main(["benchmark", suite, "--scale", "0.002", "--out", str(out)])
     assert rc == 0
     lines = out.read_text().splitlines()
-    assert lines[1].startswith("dim,x0,sigma")
-    assert len(lines) == 2 + 9
-    first = lines[2].split(",")
-    assert first[0] == "4" and float(first[10]) == 34.744  # reference column
+    assert lines[1] == ("dim,x0,sigma,maturity,steps,k_train,k_test,"
+                        "v_train,v_test,se,reference,delta,v_max,ls_test,seconds")
+    assert len(lines) == 2 + rows
+    table = [line.split(",") for line in lines[2:]]
+    assert table[0][0] == first_dim and float(table[0][10]) == reference  # reference column
+    for row in table:
+        assert float(row[8]) <= float(row[12])  # v_test <= v_max
+        assert (row[13] != "") == with_ls
+    # every row is an ordinary run with its own artifacts
+    valuation = (tmp_path / "bench.csv.runs" / "0" / "valuation.csv").read_text()
+    kinds = {line.split(",")[0] for line in valuation.splitlines()[2:]}
+    assert kinds == {"v_train", "v_test", "v_max"} | ({"ls_train", "ls_test"} if with_ls else set())

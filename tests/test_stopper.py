@@ -11,6 +11,7 @@ from treestop.stopper import (
     BaggedStopper,
     TrainConfig,
     apply,
+    first_hit,
     loo_stop_mask,
     train,
 )
@@ -224,6 +225,11 @@ def test_single_bag_rejected():
         TrainConfig(1, GrowConfig(), "raw", 1)
 
 
+def test_unknown_feature_mode_rejected():
+    with pytest.raises(ValueError, match="unknown feature mode 'bogus'"):
+        TrainConfig(2, GrowConfig(), "bogus", 1)
+
+
 def test_feature_reward_incompatibility():
     paths = small_put_ensemble()
     with pytest.raises(ValueError):
@@ -235,6 +241,9 @@ def test_step_count_mismatch_rejected():
     bad = RewardSpec("put", 0.05, 100.0, 1.0, 5)
     with pytest.raises(ValueError):
         train(paths, bad, TrainConfig(2, GrowConfig(), "raw", 1))
+    # replayed unchecked, the last step's reward would be discounted as if N were 5
+    with pytest.raises(ValueError, match="step count"):
+        first_hit(paths, bad, lambda n, states: np.zeros(states.shape[0], dtype=bool))
 
 
 # ---------------------------------------------------------------------------
