@@ -4,7 +4,8 @@
 Trains the bagged stopper at two initial prices (one near, one away from the
 exercise region), applies it to held-out paths, and writes the scatter plus
 per-step summary CSVs.  Plot boundary_summary.csv column ``mean`` against
-``n`` to see the estimated exercise boundary rise toward the strike.
+``n`` to see the estimated exercise boundary rise toward the strike;
+stop_region.csv holds the rule's exact stop intervals per step.
 
     python scripts/put_boundary.py --k 50000 --out-dir boundary_runs
 """

@@ -88,6 +88,25 @@ def _write_boundary_csv(out_dir, cfg, scatter) -> None:
             fh.write(f"{n},{'' if np.isnan(mean) else _fmt(mean)},{count}\n")
 
 
+def _write_stop_region_csv(out_dir, cfg, stopper: BaggedStopper) -> None:
+    """Write each step's vote table: one row per interval lo < x <= hi.
+
+    A row's ``votes`` counts the bags voting STOP there, so the rule stops at
+    step n on the rows with ``votes * 2 >= bags``.  Written only when every
+    step's trees read one feature (``BaggedStopper.interval_table``).
+    """
+    tables = [stopper.interval_table(n) for n in range(cfg.steps)]
+    if any(table is None for table in tables):
+        return
+    with open(os.path.join(out_dir, "stop_region.csv"), "w") as fh:
+        fh.write(_provenance(cfg))
+        fh.write("n,lo,hi,votes\n")
+        for n, table in enumerate(tables):
+            edges = [-np.inf, *table.breaks.tolist(), np.inf]
+            for i, votes in enumerate(table.votes.sum(axis=0).tolist()):
+                fh.write(f"{n},{edges[i]!r},{edges[i + 1]!r},{votes}\n")
+
+
 def _load_theoretical(path, steps: int) -> np.ndarray:
     """Read a ``n,b(n)`` boundary CSV into levels for steps 0..N, NaN where absent.
 
@@ -157,11 +176,13 @@ def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = T
     fitting writes config_resolved.cfg and stopper.txt; ``value`` writes
     valuation.csv with v_train, v_test and v_max, plus ls_train and ls_test
     when cfg.with_ls; ``boundary`` writes the test ensemble's boundary CSVs,
-    with residuals against ``boundary_file`` when given.  The config, the
-    feature mode and the cfg.with_ls scope are checked before any ensemble is
-    simulated.  The training ensemble is held whole only to fit the stopper or
-    the cfg.with_ls regression; every valuation streams its ensemble in path
-    chunks (``_value_pass``).  Returns the reports keyed by kind.
+    with residuals against ``boundary_file`` when given, and stop_region.csv
+    when the stopper's trees read one feature.  The config, the feature mode,
+    the cfg.with_ls scope and a loaded stopper's bags and feature mode are
+    checked before any ensemble is simulated.  The training ensemble is held
+    whole only to fit the stopper or the cfg.with_ls regression; every
+    valuation streams its ensemble in path chunks (``_value_pass``).  Returns
+    the reports keyed by kind.
     """
     fit = stopper_file is None
     with_ls = value and cfg.with_ls
@@ -172,6 +193,12 @@ def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = T
     else:
         with open(stopper_file) as fh:
             stopper = BaggedStopper.parse(fh.read(), reward_spec)
+        # the provenance line names the config, so it must be the one that trained the stopper
+        for name in ("bags", "feature_mode"):
+            if getattr(stopper, name) != getattr(cfg, name):
+                raise ConfigError(f"{stopper_file} was trained with {name}="
+                                  f"{getattr(stopper, name)}, the config has {name}="
+                                  f"{getattr(cfg, name)}")
     # a one-path ensemble of the same spec meets every check the full ones would
     probe = generate_gbm(cfg.gbm_spec(), 1, cfg.seed_train, TRAIN_LABEL, reward_spec.barrier)
     check_compat(probe, reward_spec, train_config.feature_mode if fit else stopper.feature_mode)
@@ -214,6 +241,7 @@ def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = T
     if boundary:
         _write_boundary_csv(cfg.out, cfg, extract_boundary(res_test, filled["stopped"],
                                                            theoretical))
+        _write_stop_region_csv(cfg.out, cfg, stopper)
     return {rep.kind: rep for rep in reports}
 
 

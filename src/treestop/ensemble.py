@@ -36,7 +36,9 @@ TRAIN_LABEL = "training"
 TEST_LABEL = "test"
 
 # Path data simulated per chunk.  Smaller chunks hold less memory but pay the
-# per-chunk Python overhead of valuing (N steps x B bag trees) more often.
+# per-chunk Python overhead of valuing more often: N steps x B bag tree walks
+# for a multi-feature stopper, N table lookups for a one-feature stopper (its
+# step tables are built once, on the first chunk).
 CHUNK_BYTES = 16 * 2**20
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import hashlib
 import re
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +41,27 @@ class TrainConfig:
             raise ValueError(f"unknown feature mode {self.feature_mode!r}")
 
 
+class IntervalTable(NamedTuple):
+    """One step's bag votes when its trees read a single feature.
+
+    ``breaks`` is the sorted union of the step's split thresholds; interval i
+    is (breaks[i-1], breaks[i]], with -inf and +inf at the ends.  Every
+    threshold is a break, so every test ``x <= t`` answers alike across an
+    interval, and ``votes[b, i]`` (bag b's tree on the interval's right end)
+    is its vote on the whole interval.  ``stop`` is the majority row.
+    """
+
+    breaks: np.ndarray
+    votes: np.ndarray
+    stop: np.ndarray
+
+    def lookup(self, feats: np.ndarray) -> np.ndarray:
+        """Interval index of each (K, 1) feature row."""
+        if feats.ndim != 2 or feats.shape[1] != 1:
+            raise ValueError(f"expected feature dim 1, got shape {feats.shape}")
+        return np.searchsorted(self.breaks, feats[:, 0], side="left")
+
+
 class BaggedStopper:
     """B x N array of trees plus the majority projector.
 
@@ -47,6 +69,11 @@ class BaggedStopper:
     g_n(x) = 1{ mean_b trees[b][n](features(n, x)) >= 1/2 } for n < N and the
     constant STOP at n = N.  Stopping a path means taking the first step whose
     rule fires.
+
+    When a step's trees read one feature, its first vote builds the step's
+    ``IntervalTable`` and every later vote of that step looks rows up in it.
+    So a step's trees must not be replaced after its first vote; nothing in
+    treestop does (``train`` votes on a step once all its trees are grown).
     """
 
     def __init__(self, trees, feature_mode: str, reward_spec: RewardSpec):
@@ -56,9 +83,29 @@ class BaggedStopper:
         self.reward_spec = reward_spec
         if any(len(row) != reward_spec.steps for row in trees):
             raise ValueError("need one tree per bag per decision step")
+        self._tables = {}
+
+    def interval_table(self, n: int) -> IntervalTable | None:
+        """Step n's cached vote table, or None when its trees read several features."""
+        if n not in self._tables:
+            step = [self.trees[b][n] for b in range(self.bags)]
+            table = None
+            if all(tree.n_features == 1 for tree in step):
+                # distinct thresholds, not np.unique: it imports numpy.ma (about 1 MB RSS)
+                cuts = np.sort(np.concatenate([t.threshold[t.feature >= 0] for t in step]))
+                breaks = cuts[np.append(True, cuts[1:] != cuts[:-1])[:cuts.size]]
+                ends = np.append(breaks, np.inf)[:, None]
+                votes = np.stack([tree.predict(ends) for tree in step])
+                table = IntervalTable(breaks, votes,
+                                      votes.sum(axis=0, dtype=np.int32) * 2 >= self.bags)
+            self._tables[n] = table
+        return self._tables[n]
 
     def bag_predictions(self, n: int, feats: np.ndarray) -> np.ndarray:
         """(B, K) int8 STOP votes of each bag's step-n tree on the feature rows."""
+        table = self.interval_table(n)
+        if table is not None:
+            return table.votes[:, table.lookup(feats)]
         preds = np.empty((self.bags, feats.shape[0]), dtype=np.int8)
         for b in range(self.bags):
             preds[b] = self.trees[b][n].predict(feats)
@@ -68,6 +115,9 @@ class BaggedStopper:
         """Boolean g_n over feature rows (full-bag average projected at 1/2)."""
         if n >= self.reward_spec.steps:
             return np.ones(feats.shape[0], dtype=bool)
+        table = self.interval_table(n)
+        if table is not None:
+            return table.stop[table.lookup(feats)]
         return self.bag_predictions(n, feats).sum(axis=0, dtype=np.int32) * 2 >= self.bags
 
     def serialize(self) -> str:

@@ -1,3 +1,4 @@
+import hashlib
 import shutil
 import tracemalloc
 
@@ -246,6 +247,54 @@ def test_boundary_replays_the_stopper_it_fits(tmp_path):
         assert (tmp_path / n).read_bytes() == fitted[n], n
 
 
+def test_stop_region_holds_every_boundary_point(tmp_path):
+    common = ["--set", "k_train=2000", "--set", "k_test=2000", "--set", "steps=8",
+              "--set", "bags=4", "--set", "x0=90", "--out", str(tmp_path)]
+    assert main(["boundary", *common]) == 0
+    lines = (tmp_path / "stop_region.csv").read_text().splitlines()
+    assert lines[0] == (tmp_path / "boundary.csv").read_text().splitlines()[0]
+    assert lines[1] == "n,lo,hi,votes"
+    region = {}
+    for line in lines[2:]:
+        n, lo, hi, votes = line.split(",")
+        region.setdefault(int(n), []).append((float(lo), float(hi), int(votes)))
+    assert sorted(region) == list(range(8))
+    for intervals in region.values():
+        # the intervals tile the line from -inf to inf
+        assert intervals[0][0] == -np.inf and intervals[-1][1] == np.inf
+        assert all(a[1] == b[0] for a, b in zip(intervals, intervals[1:]))
+    points = [line.split(",") for line in
+              (tmp_path / "boundary.csv").read_text().splitlines()[2:]]
+    assert len(points) > 100
+    for n, x, _ in points:
+        x = float(x)
+        votes = next(v for lo, hi, v in region[int(n)] if lo < x <= hi)
+        assert votes * 2 >= 4, (n, x)
+
+
+@pytest.mark.skipif(not np.__version__.startswith("2."),
+                    reason="output bytes are pinned for numpy 2.x")
+def test_two_feature_put_keeps_its_output_bytes(tmp_path, monkeypatch):
+    # raw_plus_reward trees read two features, so they bypass the interval
+    # tables, vote tree by tree and write no stop region
+    monkeypatch.chdir(tmp_path)
+    cfg = ExperimentConfig(kind="put", x0=95.0, sigma=0.3, maturity=1.0, steps=8,
+                           k_train=3000, k_test=3000, bags=4, max_depth=5, min_node_size=5,
+                           feature_mode="raw_plus_reward", with_ls=True, with_boundary=True,
+                           out="rpr")
+    run_experiment(cfg)
+    pins = {
+        "stopper.txt": "22bc94d1b1d5493178616187b2fef83e127b4df12c0ba4dd16ab7c82cbd030c3",
+        "valuation.csv": "b749dc3a2c5d937753606221ce97be3743e79620caefa0598f51fd62614b26ef",
+        "boundary.csv": "c26dd729000778057f4f4e02a9941d16527fd6765752cb8409b433d4f9dc4515",
+        "boundary_summary.csv":
+            "15d5a9f2ecf2b6feeaf26c7cee48d0e37f6b2d8d1a414fbb2a3c67c31e3807aa",
+    }
+    for name, digest in pins.items():
+        assert hashlib.sha256((tmp_path / "rpr" / name).read_bytes()).hexdigest() == digest, name
+    assert not (tmp_path / "rpr" / "stop_region.csv").exists()
+
+
 @pytest.mark.parametrize("text, message", [
     ("n,b\n0,86\n1\n2,86\n", "line 3: expected 'n,b(n)'"),
     ("n,b\n# no data\n\n", "no data rows"),
@@ -305,6 +354,31 @@ def test_bad_config_fails_before_simulating(tmp_path, capsys, monkeypatch, comma
     assert main([command, *common, *overrides(settings)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("field, trained, evaluated", [
+    ("bags", "3", "7"),
+    ("feature_mode", "raw", "raw_plus_reward"),
+])
+def test_evaluate_rejects_a_stopper_its_config_did_not_train(tmp_path, capsys, monkeypatch,
+                                                              field, trained, evaluated):
+    common = ["--set", "k_train=300", "--set", "k_test=300", "--set", "steps=5",
+              "--set", "bags=3", "--out", str(tmp_path)]
+    assert main(["train", *common]) == 0
+    capsys.readouterr()
+
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("an ensemble was built before the stopper was checked")
+
+    monkeypatch.setattr(ExperimentConfig, "make_ensemble", no_ensemble)
+    monkeypatch.setattr(ExperimentConfig, "ensemble_chunks", no_ensemble)
+    rc = main(["evaluate", "--stopper", str(tmp_path / "stopper.txt"), *common,
+               "--set", f"{field}={evaluated}"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ")
+    assert f"{field}={trained}" in err and f"{field}={evaluated}" in err
+    assert not (tmp_path / "valuation.csv").exists()
 
 
 def test_invalid_config_exits_nonzero(tmp_path, capsys):

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treestop.cart import CartTree, GrowConfig
 from treestop.ensemble import GbmSpec, generate_gbm
@@ -130,6 +132,81 @@ def test_apply_is_first_hit_majority_of_single_vector_votes(bags):
         np.testing.assert_array_equal(stopper.bag_predictions(n, feats), preds)
         np.testing.assert_array_equal(stopper.step_rule(n, feats),
                                       np.sum(preds, axis=0) * 2 >= bags)
+
+
+# thresholds shared across bags, both signed zeros, and values a few ulps apart
+THRESHOLDS = st.sampled_from([-2.5, -1.0, -0.0, 0.0, 5e-324, 1.0, np.nextafter(1.0, 2.0), 3.75])
+
+
+@st.composite
+def one_feature_tree(draw, max_depth=4):
+    """A random tree on one feature; its thresholds need not be ordered down the tree."""
+    nodes = []  # [feature, threshold, left, right, leaf weight] per node
+
+    def node(depth):
+        i = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, -1])
+        if depth < max_depth and draw(st.booleans()):
+            threshold = draw(THRESHOLDS | st.floats(-4.0, 4.0))
+            left = node(depth + 1)
+            nodes[i][:4] = [0, threshold, left, node(depth + 1)]
+        else:
+            nodes[i][4] = draw(st.integers(0, 1))
+        return i
+
+    node(0)
+    return CartTree(*zip(*nodes), n_features=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(2, 5), st.integers(1, 3))
+def test_interval_table_votes_like_every_tree(data, bags, steps):
+    spec = RewardSpec("put", 0.05, 100.0, 1.0, steps)
+    trees = [[data.draw(one_feature_tree()) for _ in range(steps)] for _ in range(bags)]
+    stopper = BaggedStopper(trees, "raw", spec)
+    for n in range(steps):
+        thresholds = np.concatenate([t.threshold[t.feature >= 0] for t in
+                                     (row[n] for row in trees)])
+        extremes = [thresholds.min() - 1, thresholds.max() + 1] if thresholds.size else []
+        x = np.concatenate([thresholds, np.nextafter(thresholds, -np.inf),
+                            np.nextafter(thresholds, np.inf),
+                            [-0.0, 0.0, -np.finfo(float).max, np.finfo(float).max],
+                            extremes])[:, None]
+        preds = np.array([row[n].predict(x) for row in trees])
+        np.testing.assert_array_equal(stopper.bag_predictions(n, x), preds)
+        np.testing.assert_array_equal(stopper.step_rule(n, x),
+                                      preds.sum(axis=0) * 2 >= bags)
+        assert stopper.interval_table(n) is not None
+
+
+def test_chunked_apply_predicts_each_tree_once_per_step(monkeypatch):
+    paths = small_put_ensemble(num_paths=300, seed=12)
+    bags = 4
+    cfg = TrainConfig(bags, GrowConfig(max_depth=4, min_node_size=5), "raw", 4)
+    dump = train(paths, PUT4, cfg).serialize()
+    # a parsed stopper has not voted yet, so every step's table is still to build
+    stopper = BaggedStopper.parse(dump, PUT4)
+    chunks = [small_put_ensemble(num_paths=200, seed=s, label="test") for s in (1, 2, 3)]
+
+    calls = []
+    predict = CartTree.predict
+
+    def counted(self, x):
+        calls.append(self)
+        return predict(self, x)
+
+    monkeypatch.setattr(CartTree, "predict", counted)
+    results = [apply(stopper, chunk) for chunk in chunks]
+    for res in results:
+        # every chunk reaches the last decision step, so it votes on every step
+        assert (res.stop_step == PUT4.steps).any()
+    assert len(calls) == bags * PUT4.steps
+    assert {id(t) for t in calls} == {id(t) for row in stopper.trees for t in row}
+    # the cached tables vote as tables rebuilt for each chunk
+    for res, chunk in zip(results, chunks):
+        fresh = apply(BaggedStopper.parse(dump, PUT4), chunk)
+        np.testing.assert_array_equal(res.stop_step, fresh.stop_step)
+        np.testing.assert_array_equal(res.realized, fresh.realized)
 
 
 def test_apply_rejects_mismatched_ensembles():
