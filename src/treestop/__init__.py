@@ -14,9 +14,7 @@ from treestop.cart import (
     GrowConfig,
     Leaf,
     Split,
-    delta_split,
     grow,
-    prototype_split,
     removal,
 )
 from treestop.stopper import BaggedStopper, StopResult, TrainConfig, apply, first_hit, train
@@ -50,8 +48,6 @@ __all__ = [
     "Split",
     "Leaf",
     "removal",
-    "delta_split",
-    "prototype_split",
     "grow",
     "TrainConfig",
     "BaggedStopper",

@@ -12,13 +12,13 @@ from those sorts (ties go to the first occurrence), and the same sorts,
 filtered to the merged rows, become the samples' per-dim ``orders`` that
 ``grow`` partitions down the tree without sorting again.
 
-Two split finders ship:
+``grow`` is the one node decision, with two splitters:
 
-* ``prototype_split`` always splits multi-point nodes at the position whose
+* ``prototype`` always splits multi-point nodes at the position whose
   one-sided partial-sum magnitude is largest, driving nodes down to single
   points.  The resulting tree attains the training-data minimum of
   sum_k w_k * g(point_k) over all {0,1}-valued g.
-* ``delta_split`` performs the same scan but only splits when the best score
+* ``delta`` performs the same scan but only splits when the best score
   strictly exceeds |total weight|; otherwise the node becomes a leaf whose
   weight is 1 (STOP) for strictly negative total and 0 (CONTINUE) otherwise.
   This is the data-driven size control used throughout training.
@@ -196,30 +196,6 @@ def _decide(points: np.ndarray, weight: np.ndarray, orders, total: float,
     return best[1]
 
 
-def _root_decision(samples: DeltaSamples, prototype: bool) -> Split | Leaf:
-    if len(samples) == 0:
-        raise ValueError("empty sample set")
-    return _decide(samples.points, samples.weight, samples.orders,
-                   float(np.sum(samples.weight)), prototype)
-
-
-def delta_split(samples: DeltaSamples) -> Split | Leaf:
-    """Size-controlled split decision.
-
-    Splits only when the best one-sided partial-sum score strictly exceeds
-    |total weight|; in particular any same-sign weight set yields a leaf.
-    """
-    return _root_decision(samples, prototype=False)
-
-
-def prototype_split(samples: DeltaSamples) -> Split | Leaf:
-    """Unconditional split decision: multi-point nodes always split.
-
-    A single sample becomes a leaf, STOP exactly when its delta is negative.
-    """
-    return _root_decision(samples, prototype=True)
-
-
 DELTA = "delta"
 PROTOTYPE = "prototype"
 
@@ -265,10 +241,6 @@ class CartTree:
         self.leaf_weight = np.asarray(leaf_weight, dtype=np.int8)
         self.n_features = int(n_features)
 
-    @classmethod
-    def single_leaf(cls, weight: int, n_features: int) -> "CartTree":
-        return cls([-1], [0.0], [-1], [-1], [weight], n_features)
-
     @property
     def n_nodes(self) -> int:
         return self.feature.shape[0]
@@ -289,14 +261,10 @@ class CartTree:
                 out = max(out, int(depths[i]))
         return out
 
-    def predict(self, x) -> int | np.ndarray:
-        """Leaf weight reached by x: an ``int`` for a feature vector, a (K,)
-        int8 array for a (K, d) matrix.  Rows are routed by partition (see the
-        class docstring)."""
+    def predict(self, x) -> np.ndarray:
+        """(K,) int8 leaf weights reached by the rows of a (K, d) matrix.
+        Rows are routed by partition (see the class docstring)."""
         arr = np.asarray(x, dtype=float)
-        single = arr.ndim == 1
-        if single:
-            arr = arr.reshape(1, -1)
         if arr.ndim != 2 or arr.shape[1] != self.n_features:
             raise ValueError(f"expected feature dim {self.n_features}, got shape {arr.shape}")
         out = np.empty(arr.shape[0], dtype=np.int8)
@@ -310,7 +278,7 @@ class CartTree:
                 go_left = arr[rows, f] <= self.threshold[node]
                 stack.append((self.right[node], rows[~go_left]))
                 stack.append((self.left[node], rows[go_left]))
-        return int(out[0]) if single else out
+        return out
 
     def to_text(self) -> str:
         """Line-oriented dump: ``id split dim threshold left right`` or ``id leaf weight``.
@@ -335,6 +303,8 @@ class CartTree:
 
         Node lines must run 0..nodes-1 in order and every child id must exceed
         its parent's, as ``to_text`` writes them, so traversal always ends.
+        Thresholds must be finite, as ``removal`` makes every trained one:
+        no row passes a NaN test, and an infinite one sends every finite row one way.
         """
         lines = [ln for ln in text.strip().splitlines() if ln.strip()]
         head = re.fullmatch(r"tree nodes=(\d+) features=(\d+)", lines[0].strip()) if lines else None
@@ -353,9 +323,11 @@ class CartTree:
             try:
                 if parts[:2] == [str(i), "split"] and len(parts) == 6:
                     f, lo, hi = int(parts[2]), int(parts[4]), int(parts[5])
-                    if not (0 <= f < n_features and i < lo < n and i < hi < n):
+                    thr = float(parts[3])
+                    if not (0 <= f < n_features and i < lo < n and i < hi < n
+                            and np.isfinite(thr)):
                         raise ValueError
-                    feature[i], threshold[i], left[i], right[i] = f, float(parts[3]), lo, hi
+                    feature[i], threshold[i], left[i], right[i] = f, thr, lo, hi
                 elif parts in ([str(i), "leaf", "0"], [str(i), "leaf", "1"]):
                     weight[i] = int(parts[2])
                 else:
@@ -384,8 +356,8 @@ def grow(samples: DeltaSamples, config: GrowConfig) -> CartTree:
     side = np.empty(len(samples), dtype=bool)
 
     # Each node carries its rows in original sample order, so weight totals
-    # accumulate exactly as in the standalone split functions, and its per-dim
-    # orders, which come from ``removal``'s sorts and are never re-sorted.
+    # accumulate in one fixed order, and its per-dim orders, which come from
+    # ``removal``'s sorts and are never re-sorted.
     def build(rows, orders, depth: int) -> int:
         node = len(nodes)
         total = float(np.sum(weight[rows]))

@@ -103,7 +103,7 @@ def _write_stop_region_csv(out_dir, cfg, stopper: BaggedStopper) -> None:
         fh.write("n,lo,hi,votes\n")
         for n, table in enumerate(tables):
             edges = [-np.inf, *table.breaks.tolist(), np.inf]
-            for i, votes in enumerate(table.votes.sum(axis=0).tolist()):
+            for i, votes in enumerate(table.count.tolist()):
                 fh.write(f"{n},{edges[i]!r},{edges[i + 1]!r},{votes}\n")
 
 
@@ -177,12 +177,12 @@ def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = T
     valuation.csv with v_train, v_test and v_max, plus ls_train and ls_test
     when cfg.with_ls; ``boundary`` writes the test ensemble's boundary CSVs,
     with residuals against ``boundary_file`` when given, and stop_region.csv
-    when the stopper's trees read one feature.  The config, the feature mode,
-    the cfg.with_ls scope and a loaded stopper's bags and feature mode are
-    checked before any ensemble is simulated.  The training ensemble is held
-    whole only to fit the stopper or the cfg.with_ls regression; every
-    valuation streams its ensemble in path chunks (``_value_pass``).  Returns
-    the reports keyed by kind.
+    when the stopper's trees read one feature.  The config, the path counts
+    of the ensembles the run simulates, the feature mode, the cfg.with_ls
+    scope and a loaded stopper's bags and feature mode are checked before any
+    ensemble is simulated.  The training ensemble is held whole only to fit
+    the stopper or the cfg.with_ls regression; every valuation streams its
+    ensemble in path chunks (``_value_pass``).  Returns the reports by kind.
     """
     fit = stopper_file is None
     with_ls = value and cfg.with_ls
@@ -199,6 +199,12 @@ def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = T
                 raise ConfigError(f"{stopper_file} was trained with {name}="
                                   f"{getattr(stopper, name)}, the config has {name}="
                                   f"{getattr(cfg, name)}")
+    # the fewest paths each ensemble needs; 0 where no stage of this run simulates it
+    fewest = {"k_train": cfg.bags if fit else int(value), "k_test": int(value or boundary)}
+    for name, least in fewest.items():
+        if getattr(cfg, name) < least:
+            raise ConfigError(f"field {name}: this run needs at least {least} paths, "
+                              f"got {getattr(cfg, name)}")
     # a one-path ensemble of the same spec meets every check the full ones would
     probe = generate_gbm(cfg.gbm_spec(), 1, cfg.seed_train, TRAIN_LABEL, reward_spec.barrier)
     check_compat(probe, reward_spec, train_config.feature_mode if fit else stopper.feature_mode)

@@ -68,42 +68,36 @@ class RewardSpec:
                 f"maturity={self.maturity!r} steps={self.steps} barrier={self.barrier!r}")
 
 
-def _as_states(x) -> tuple[np.ndarray, bool]:
-    """Normalise x to a (K, dim) matrix; report whether input was a single state."""
+def _as_states(x) -> np.ndarray:
+    """x as a (K, dim) matrix of states; any other shape raises ValueError."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        return arr.reshape(1, 1), True
-    if arr.ndim == 1:
-        return arr.reshape(1, -1), True
-    if arr.ndim == 2:
-        return arr, False
-    raise ValueError("state input must be a vector or a (K, dim) matrix")
+    if arr.ndim != 2:
+        raise ValueError(f"states must be a (K, dim) matrix, got shape {arr.shape}")
+    return arr
 
 
-def reward(spec: RewardSpec, n: int, x) -> float | np.ndarray:
+def reward(spec: RewardSpec, n: int, x) -> np.ndarray:
     """Discounted payoff u(n, x).
 
     put:        exp(-r n T / N)     * max(strike - x, 0)          for 1-D x
     max_call:   exp(-r n T / N)     * max(max_d x[d] - strike, 0)
     knock-out:  exp(-r n T / (N+1)) * max(max_{d<=D} x[d] - strike, 0) * x[D+1]
 
-    Accepts a single state vector or a (K, dim) matrix of states.
+    x is a (K, dim) matrix of states; the result has one reward per row.
     """
     if not 0 <= n <= spec.steps:
         raise ValueError(f"step {n} outside 0..{spec.steps}")
-    states, single = _as_states(x)
+    states = _as_states(x)
     disc = spec.discount(n)
     if spec.kind == PUT:
         if states.shape[1] != 1:
             raise ValueError("put reward is one-dimensional")
-        out = disc * np.maximum(spec.strike - states[:, 0], 0.0)
-    elif spec.kind == MAX_CALL:
-        out = disc * np.maximum(states.max(axis=1) - spec.strike, 0.0)
-    else:
-        if states.shape[1] < 2:
-            raise ValueError("knock-out state needs asset coordinates plus indicator")
-        out = disc * np.maximum(states[:, :-1].max(axis=1) - spec.strike, 0.0) * states[:, -1]
-    return float(out[0]) if single else out
+        return disc * np.maximum(spec.strike - states[:, 0], 0.0)
+    if spec.kind == MAX_CALL:
+        return disc * np.maximum(states.max(axis=1) - spec.strike, 0.0)
+    if states.shape[1] < 2:
+        raise ValueError("knock-out state needs asset coordinates plus indicator")
+    return disc * np.maximum(states[:, :-1].max(axis=1) - spec.strike, 0.0) * states[:, -1]
 
 
 def _asset_block(spec: RewardSpec, states: np.ndarray) -> np.ndarray:
@@ -112,7 +106,7 @@ def _asset_block(spec: RewardSpec, states: np.ndarray) -> np.ndarray:
 
 
 def features(mode: str, spec: RewardSpec, n: int, x) -> np.ndarray:
-    """Map states to the feature vectors trees are trained on.
+    """Map a (K, dim) matrix of states to the (K, F) features trees read.
 
     raw             -> x unchanged
     raw_plus_reward -> x with u(n, x) appended
@@ -122,19 +116,15 @@ def features(mode: str, spec: RewardSpec, n: int, x) -> np.ndarray:
     """
     if mode not in FEATURE_MODES:
         raise ValueError(f"unknown feature mode {mode!r}")
-    states, single = _as_states(x)
+    states = _as_states(x)
     if mode == RAW:
-        out = states
-    elif mode == RAW_PLUS_REWARD:
-        u = reward(spec, n, states)
-        out = np.concatenate([states, u[:, None]], axis=1)
-    else:
-        assets = _asset_block(spec, states)
-        if assets.shape[1] < 2:
-            raise ValueError("four_features needs at least two asset coordinates")
-        top2 = np.partition(assets, assets.shape[1] - 2, axis=1)[:, -2:]
-        m1 = top2[:, 1]
-        m2 = top2[:, 0]
-        u = reward(spec, n, states)
-        out = np.stack([u, m1, m2, m1 - m2], axis=1)
-    return out[0] if single else out
+        return states
+    if mode == RAW_PLUS_REWARD:
+        return np.concatenate([states, reward(spec, n, states)[:, None]], axis=1)
+    assets = _asset_block(spec, states)
+    if assets.shape[1] < 2:
+        raise ValueError("four_features needs at least two asset coordinates")
+    top2 = np.partition(assets, assets.shape[1] - 2, axis=1)[:, -2:]
+    m1 = top2[:, 1]
+    m2 = top2[:, 0]
+    return np.stack([reward(spec, n, states), m1, m2, m1 - m2], axis=1)

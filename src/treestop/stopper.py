@@ -48,27 +48,22 @@ class IntervalTable(NamedTuple):
     is (breaks[i-1], breaks[i]], with -inf and +inf at the ends.  Every
     threshold is a break, so every test ``x <= t`` answers alike across an
     interval, and ``votes[b, i]`` (bag b's tree on the interval's right end)
-    is its vote on the whole interval.  ``stop`` is the majority row.
+    is its vote on the whole interval.  ``count`` is the int32 sum of
+    ``votes`` over bags.
     """
 
     breaks: np.ndarray
     votes: np.ndarray
-    stop: np.ndarray
-
-    def lookup(self, feats: np.ndarray) -> np.ndarray:
-        """Interval index of each (K, 1) feature row."""
-        if feats.ndim != 2 or feats.shape[1] != 1:
-            raise ValueError(f"expected feature dim 1, got shape {feats.shape}")
-        return np.searchsorted(self.breaks, feats[:, 0], side="left")
+    count: np.ndarray
 
 
 class BaggedStopper:
     """B x N array of trees plus the majority projector.
 
-    trees[b][n] votes STOP/CONTINUE for step n; the estimated per-step rule is
-    g_n(x) = 1{ mean_b trees[b][n](features(n, x)) >= 1/2 } for n < N and the
-    constant STOP at n = N.  Stopping a path means taking the first step whose
-    rule fires.
+    trees[b][n] votes STOP/CONTINUE for step n, and ``stop_votes`` counts a
+    step's votes.  The estimated per-step rule ``step_rule`` is g_n(x) =
+    1{ mean_b trees[b][n](features(n, x)) >= 1/2 } for n < N and the constant
+    STOP at n = N.  Stopping a path means taking the first step whose rule fires.
 
     When a step's trees read one feature, its first vote builds the step's
     ``IntervalTable`` and every later vote of that step looks rows up in it.
@@ -96,29 +91,39 @@ class BaggedStopper:
                 breaks = cuts[np.append(True, cuts[1:] != cuts[:-1])[:cuts.size]]
                 ends = np.append(breaks, np.inf)[:, None]
                 votes = np.stack([tree.predict(ends) for tree in step])
-                table = IntervalTable(breaks, votes,
-                                      votes.sum(axis=0, dtype=np.int32) * 2 >= self.bags)
+                table = IntervalTable(breaks, votes, votes.sum(axis=0, dtype=np.int32))
             self._tables[n] = table
         return self._tables[n]
 
-    def bag_predictions(self, n: int, feats: np.ndarray) -> np.ndarray:
-        """(B, K) int8 STOP votes of each bag's step-n tree on the feature rows."""
+    def stop_votes(self, n: int, feats: np.ndarray, own=None) -> np.ndarray:
+        """(K,) int32 count of step-n STOP votes on the feature rows.
+
+        The count runs over all bags, or, given a (K,) integer array ``own``,
+        over all bags except bag ``own[k]`` for row k (the leave-one-bag-out
+        vote of training).
+        """
         table = self.interval_table(n)
         if table is not None:
-            return table.votes[:, table.lookup(feats)]
-        preds = np.empty((self.bags, feats.shape[0]), dtype=np.int8)
+            if feats.ndim != 2 or feats.shape[1] != 1:
+                raise ValueError(f"expected feature dim 1, got shape {feats.shape}")
+            idx = np.searchsorted(table.breaks, feats[:, 0], side="left")
+            count = table.count[idx]
+            if own is not None:
+                count -= table.votes[own, idx]
+            return count
+        votes = np.empty((self.bags, feats.shape[0]), dtype=np.int8)
         for b in range(self.bags):
-            preds[b] = self.trees[b][n].predict(feats)
-        return preds
+            votes[b] = self.trees[b][n].predict(feats)
+        count = votes.sum(axis=0, dtype=np.int32)
+        if own is not None:
+            count -= votes[own, np.arange(feats.shape[0])]
+        return count
 
     def step_rule(self, n: int, feats: np.ndarray) -> np.ndarray:
         """Boolean g_n over feature rows (full-bag average projected at 1/2)."""
         if n >= self.reward_spec.steps:
             return np.ones(feats.shape[0], dtype=bool)
-        table = self.interval_table(n)
-        if table is not None:
-            return table.stop[table.lookup(feats)]
-        return self.bag_predictions(n, feats).sum(axis=0, dtype=np.int32) * 2 >= self.bags
+        return self.stop_votes(n, feats) * 2 >= self.bags
 
     def serialize(self) -> str:
         lines = [
@@ -214,15 +219,6 @@ def check_compat(paths: PathEnsemble, spec: RewardSpec, feature_mode: str) -> in
     return features(feature_mode, spec, 0, paths.state_at(0)[:1]).shape[1]
 
 
-def loo_stop_mask(votes: np.ndarray, own_vote: np.ndarray, bags: int) -> np.ndarray:
-    """Leave-one-out projector: stop iff the other B-1 bags' mean vote >= 1/2.
-
-    ``votes`` counts STOP votes over all bags per path, ``own_vote`` is the
-    vote of the path's own bag.  The comparison is integer-exact.
-    """
-    return (votes - own_vote) * 2 >= bags - 1
-
-
 def train(paths: PathEnsemble, reward_spec: RewardSpec, config: TrainConfig) -> BaggedStopper:
     """Fit the bagged stopper on a training ensemble.
 
@@ -246,7 +242,6 @@ def train(paths: PathEnsemble, reward_spec: RewardSpec, config: TrainConfig) -> 
     order = np.sort(rng.permutation(K_all)[:K].reshape(B, s), axis=1).ravel()
     bags = [slice(b * s, (b + 1) * s) for b in range(B)]
     own = np.repeat(np.arange(B), s)
-    columns = np.arange(K)
 
     # Rewards are evaluated per step; the reward at each path's current
     # continuation stop is carried along instead of materialising a K x (N+1)
@@ -260,9 +255,8 @@ def train(paths: PathEnsemble, reward_spec: RewardSpec, config: TrainConfig) -> 
         for b, rows in enumerate(bags):
             samples = removal(feats_n[rows], (u_at_tau[rows] - u_n[rows]) / K)
             stopper.trees[b][n] = grow(samples, config.grow)
-        # leave-one-out update of each bag's continuation stop
-        preds = stopper.bag_predictions(n, feats_n)
-        stop = loo_stop_mask(preds.sum(axis=0, dtype=np.int32), preds[own, columns], B)
+        # leave-one-out update: stop where the other B-1 bags' mean vote >= 1/2
+        stop = stopper.stop_votes(n, feats_n, own) * 2 >= B - 1
         u_at_tau[stop] = u_n[stop]
 
     return stopper

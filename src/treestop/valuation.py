@@ -129,7 +129,7 @@ def ls_fit(paths_train: PathEnsemble, spec: RewardSpec) -> LsRule:
         rows = np.flatnonzero(itm)[exercise]
         cash[rows] = immediate[rows]
     continuation0 = float(np.mean(cash))
-    u0 = float(reward(spec, 0, paths_train.state_at(0)[0]))
+    u0 = float(reward(spec, 0, paths_train.state_at(0)[:1])[0])
     stop_value = u0 if u0 >= continuation0 else None
     train_values = cash if stop_value is None else np.full(paths_train.num_paths, u0)
     m, se = _mean_se(train_values)

@@ -5,13 +5,16 @@ Everything here is deliberately written in the most literal way possible
 ``PathEnsemble`` and ``ValuationReport`` result types and the ``reward``
 payoff) so the tests check the real implementations against independently
 coded logic.  The European closed
-form lives here because only tests use it.
+form lives here because only tests use it.  Two helpers are not references
+but shared test plumbing over the package's trees: ``grown_root`` and
+``constant_tree``.
 """
 
 import math
 
 import numpy as np
 
+from treestop.cart import CartTree, GrowConfig, Leaf, Split, grow
 from treestop.ensemble import PathEnsemble
 from treestop.reward import reward
 from treestop.valuation import ValuationReport
@@ -46,6 +49,23 @@ def brute_force_split(points, weights, always_split=False):
     if best is None or (best[0] <= abs(total) and not always_split):
         return ("leaf", 0 if total >= 0 else 1)
     return ("split", best[0], best[1], best[2])
+
+
+def grown_root(samples, splitter):
+    """The node decision of ``grow`` at the root: a ``Leaf`` or a ``Split``.
+
+    The root of a depth-1 tree without a node-size cap is decided by the
+    splitter alone.
+    """
+    tree = grow(samples, GrowConfig(max_depth=1, min_node_size=1, splitter=splitter))
+    if tree.feature[0] < 0:
+        return Leaf(int(tree.leaf_weight[0]))
+    return Split(int(tree.feature[0]), float(tree.threshold[0]))
+
+
+def constant_tree(weight, n_features):
+    """A one-leaf tree voting ``weight`` on every row of ``n_features`` columns."""
+    return CartTree.from_text(f"tree nodes=1 features={n_features}\n0 leaf {weight}")
 
 
 def reference_grow(points, weights, max_depth, min_node_size, always_split=False):

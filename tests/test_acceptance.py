@@ -7,7 +7,7 @@ lines; the heavy benchmark runs share session-scoped fixtures.
 import numpy as np
 import pytest
 
-from treestop.cart import GrowConfig, Leaf, Split, delta_split, grow, removal
+from treestop.cart import DELTA, GrowConfig, Leaf, Split, grow, removal
 from treestop.cli import run_experiment
 from treestop.config import ExperimentConfig
 from treestop.ensemble import GbmSpec, generate_gbm
@@ -27,7 +27,7 @@ from treestop.valuation import (
     value_of_rule,
 )
 
-from oracles import brute_force_split, european_value
+from oracles import brute_force_split, european_value, grown_root
 
 # pairs (v_test, v_max) on the same test ensemble, collected by the heavy
 # runs and checked wholesale by the dominance criterion
@@ -119,7 +119,7 @@ def test_criterion_5_split_oracle_equivalence():
         if not ((dl > 0).any() and (dl < 0).any()):
             continue
         samples = removal(pts, dl)
-        got = delta_split(samples)
+        got = grown_root(samples, DELTA)
         expected = brute_force_split(samples.points, samples.weight)
         if expected[0] == "leaf":
             assert got == Leaf(expected[1])
@@ -129,7 +129,7 @@ def test_criterion_5_split_oracle_equivalence():
     # the published four-point pocket instance collapses to a CONTINUE leaf
     pocket = removal(np.array([[2.0, 6.0], [5.0, 5.0], [3.0, 3.0], [6.0, 2.0]]),
                      np.array([2.0, -0.5, -0.5, 2.0]))
-    assert delta_split(pocket) == Leaf(0)
+    assert grown_root(pocket, DELTA) == Leaf(0)
     _passed(5, "split decisions match exhaustive enumeration on 1000 sets")
 
 

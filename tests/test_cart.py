@@ -10,13 +10,17 @@ from treestop.cart import (
     GrowConfig,
     Leaf,
     Split,
-    delta_split,
     grow,
-    prototype_split,
     removal,
 )
 
-from oracles import brute_force_split, reference_grow, unique_removal
+from oracles import (
+    brute_force_split,
+    constant_tree,
+    grown_root,
+    reference_grow,
+    unique_removal,
+)
 
 # Four 2-D points whose mixed increments cancel against the larger total: the
 # size-controlled splitter collapses the root to a single CONTINUE leaf.
@@ -118,26 +122,25 @@ def test_removal_rejects_non_finite_input(bad):
 
 def test_pocket_instance_collapses_to_continue_leaf():
     s = removal(POCKET_POINTS, POCKET_DELTAS)
-    decision = delta_split(s)
-    assert decision == Leaf(0)
+    assert grown_root(s, DELTA) == Leaf(0)
 
 
 def test_same_sign_sets_always_leaf():
     s = removal(np.array([[1.0], [2.0], [3.0]]), np.array([-0.2, -0.7, -0.1]))
-    assert delta_split(s) == Leaf(1)
+    assert grown_root(s, DELTA) == Leaf(1)
     s_pos = removal(np.array([[1.0], [2.0], [3.0]]), np.array([0.2, 0.7, 0.1]))
-    assert delta_split(s_pos) == Leaf(0)
+    assert grown_root(s_pos, DELTA) == Leaf(0)
 
 
 def test_one_dimensional_sign_change_splits_in_the_middle():
     # prefix sums -1, -2, -1 give max score 2 > |total| = 0
     s = removal(np.array([[1.0], [2.0], [3.0], [4.0]]), np.array([-1.0, -1.0, 1.0, 1.0]))
-    assert delta_split(s) == Split(dim=0, threshold=2.0)
+    assert grown_root(s, DELTA) == Split(dim=0, threshold=2.0)
 
 
 def test_prototype_splits_pocket_instance():
     s = removal(POCKET_POINTS, POCKET_DELTAS)
-    decision = prototype_split(s)
+    decision = grown_root(s, PROTOTYPE)
     # exhaustive scoring: the best achievable score is 2, first reached on
     # dim 0 after the point at x=2
     assert decision == Split(dim=0, threshold=2.0)
@@ -149,20 +152,19 @@ def test_prototype_splits_pocket_instance():
 
 def test_prototype_single_sample_leaf():
     s = removal(np.array([[7.0]]), np.array([-0.2]))
-    assert prototype_split(s) == Leaf(1)
+    assert grown_root(s, PROTOTYPE) == Leaf(1)
 
 
 def test_prototype_forced_split_of_two_points():
     s = removal(np.array([[1.0], [2.0]]), np.array([5.0, 5.0]))
-    assert prototype_split(s) == Split(dim=0, threshold=1.0)
+    assert grown_root(s, PROTOTYPE) == Split(dim=0, threshold=1.0)
 
 
 def test_empty_input_rejected():
     s = removal(np.zeros((0, 1)), np.zeros(0))
-    with pytest.raises(ValueError):
-        delta_split(s)
-    with pytest.raises(ValueError):
-        prototype_split(s)
+    for splitter in (DELTA, PROTOTYPE):
+        with pytest.raises(ValueError, match="empty sample set"):
+            grow(s, GrowConfig(1, 1, splitter))
     with pytest.raises(ValueError, match=r"\(3, 0\)"):
         removal(np.zeros((3, 0)), np.zeros(3))
 
@@ -182,7 +184,7 @@ def sample_sets(draw):
 def test_delta_split_matches_exhaustive_enumeration(case):
     pts, dl = case
     s = removal(pts, dl)
-    got = delta_split(s)
+    got = grown_root(s, DELTA)
     expected = brute_force_split(s.points, s.weight)
     if expected[0] == "leaf":
         assert got == Leaf(expected[1])
@@ -194,10 +196,13 @@ def test_delta_split_matches_exhaustive_enumeration(case):
 @settings(max_examples=200, deadline=None)
 @given(sample_sets(), st.sampled_from([DELTA, PROTOTYPE]), st.integers(1, 4))
 def test_grow_root_matches_standalone_split(case, splitter, max_depth):
-    # without size caps the root of a grown tree is the standalone decision
+    # without size caps the root of a deeper tree is the one-node decision,
+    # which is the exhaustive scan's for either splitter
     s = removal(*case)
     tree = grow(s, GrowConfig(max_depth=max_depth, min_node_size=1, splitter=splitter))
-    expected = (delta_split if splitter == DELTA else prototype_split)(s)
+    expected = grown_root(s, splitter)
+    kind, *found = brute_force_split(s.points, s.weight, always_split=splitter == PROTOTYPE)
+    assert expected == (Leaf(found[0]) if kind == "leaf" else Split(found[1], found[2]))
     if tree.feature[0] < 0:
         assert expected == Leaf(int(tree.leaf_weight[0]))
     else:
@@ -212,7 +217,7 @@ def test_depth_zero_forces_single_leaf():
     s = removal(np.array([[1.0], [2.0]]), np.array([-3.0, 1.0]))
     tree = grow(s, GrowConfig(max_depth=0))
     assert tree.n_nodes == 1 and tree.leaf_count == 1
-    assert tree.predict(np.array([5.0])) == 1  # total is negative
+    assert tree.predict(np.array([[5.0]]))[0] == 1  # total is negative
 
 
 def test_pocket_instance_grows_degenerate_tree():
@@ -237,7 +242,7 @@ def test_min_node_size_forces_leaf():
     s = removal(np.array([[1.0], [2.0], [3.0]]), np.array([-1.0, 1.0, -1.0]))
     tree = grow(s, GrowConfig(min_node_size=4))
     assert tree.n_nodes == 1
-    assert tree.predict(np.array([1.0])) == 1
+    assert tree.predict(np.array([[1.0]]))[0] == 1
 
 
 def leaf_of(tree, x):
@@ -251,19 +256,24 @@ def leaf_of(tree, x):
 def test_predict_boundary_goes_left():
     tree = CartTree([0, -1, -1], [2.0, 0.0, 0.0], [1, -1, -1], [2, -1, -1],
                     [-1, 1, 0], 1)
-    assert tree.predict(np.array([2.0])) == 1
-    assert tree.predict(np.array([2.0001])) == 0
+    np.testing.assert_array_equal(tree.predict(np.array([[2.0], [2.0001]])), [1, 0])
 
 
 def test_single_leaf_tree_is_constant():
-    tree = CartTree.single_leaf(1, 3)
-    assert tree.predict(np.array([9.0, -4.0, 0.0])) == 1
+    tree = constant_tree(1, 3)
+    assert tree.n_nodes == 1 and tree.depth == 0
+    np.testing.assert_array_equal(tree.predict(np.array([[9.0, -4.0, 0.0], [0.0, 0.0, 0.0]])),
+                                  [1, 1])
 
 
 def test_predict_dimension_mismatch():
-    tree = CartTree.single_leaf(0, 2)
-    with pytest.raises(ValueError):
-        tree.predict(np.array([1.0, 2.0, 3.0]))
+    tree = constant_tree(0, 2)
+    with pytest.raises(ValueError, match=r"\(1, 3\)"):
+        tree.predict(np.array([[1.0, 2.0, 3.0]]))
+    # a single feature vector or a scalar is not a matrix of rows
+    for x, shape in ((np.array([1.0, 2.0]), r"\(2,\)"), (np.float64(1.0), r"\(\)")):
+        with pytest.raises(ValueError, match=shape):
+            tree.predict(x)
 
 
 @settings(max_examples=100, deadline=None)
@@ -329,8 +339,6 @@ def test_predict_matches_per_row_walk(m, d, seed, splitter, max_depth, min_node_
     preds = tree.predict(probes)
     assert preds.dtype == np.int8 and preds.shape == (250,)
     np.testing.assert_array_equal(preds, [walk(tree, x) for x in probes])
-    one = tree.predict(probes[0])
-    assert type(one) is int and one == walk(tree, probes[0])
     empty = tree.predict(np.zeros((0, d)))
     assert empty.dtype == np.int8 and empty.shape == (0,)
 

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import shutil
 import tracemalloc
 
@@ -122,7 +123,7 @@ def test_zero_vol_experiment_matches_backward_induction(tmp_path):
     reports = run_experiment(cfg)
     paths = cfg.make_ensemble("test")
     spec = cfg.reward_spec()
-    rewards = [float(reward(spec, n, paths.state_at(n)[0])) for n in range(21)]
+    rewards = [reward(spec, n, paths.state_at(n)[:1])[0] for n in range(21)]
     _, value = deterministic_best_stop(rewards)
     assert reports["v_test"].value == pytest.approx(value, rel=1e-12)
 
@@ -295,6 +296,28 @@ def test_two_feature_put_keeps_its_output_bytes(tmp_path, monkeypatch):
     assert not (tmp_path / "rpr" / "stop_region.csv").exists()
 
 
+@pytest.mark.skipif(not np.__version__.startswith("2."),
+                    reason="output bytes are pinned for numpy 2.x")
+def test_raw_put_keeps_its_output_bytes(tmp_path, monkeypatch):
+    # the one-feature twin of the test above: raw trees vote through the
+    # interval tables, which stop_region.csv writes out
+    monkeypatch.chdir(tmp_path)
+    cfg = ExperimentConfig(kind="put", x0=95.0, sigma=0.3, maturity=1.0, steps=8,
+                           k_train=3000, k_test=3000, bags=4, max_depth=5, min_node_size=5,
+                           with_ls=True, with_boundary=True, out="raw")
+    run_experiment(cfg)
+    pins = {
+        "stopper.txt": "0e99a5c3369801897e2ee42e4cfaecfd6027887858e25291ca23c84f5363c953",
+        "valuation.csv": "7a69f5c5ea818e800d27e04cff040553502f54f7437a842f93cf013eb121d51b",
+        "boundary.csv": "3748babd0182b8c319fc647feb9a42e7caf14d879f727a66496c703b6307e3b0",
+        "boundary_summary.csv":
+            "a48a869c5f8b8ad7590d75d97f78afa8b3a9ef01e412c1aa731f26ea33a45082",
+        "stop_region.csv": "636652785c680339e43d7a9b4610cbfc330bbdf52092cad44a6ebce8f328ff10",
+    }
+    for name, digest in pins.items():
+        assert hashlib.sha256((tmp_path / "raw" / name).read_bytes()).hexdigest() == digest, name
+
+
 @pytest.mark.parametrize("text, message", [
     ("n,b\n0,86\n1\n2,86\n", "line 3: expected 'n,b(n)'"),
     ("n,b\n# no data\n\n", "no data rows"),
@@ -354,6 +377,44 @@ def test_bad_config_fails_before_simulating(tmp_path, capsys, monkeypatch, comma
     assert main([command, *common, *overrides(settings)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("command, settings, field", [
+    ("train", ["k_train=3"], "k_train"),
+    ("train", ["k_train=0"], "k_train"),
+    ("boundary", ["k_test=0"], "k_test"),
+    ("boundary", ["k_train=3"], "k_train"),
+    ("evaluate", ["k_test=0"], "k_test"),
+    ("evaluate", ["k_train=0"], "k_train"),
+], ids=["train_fewer_than_bags", "train_none", "boundary_no_test", "boundary_fewer_than_bags",
+        "evaluate_no_test", "evaluate_no_train"])
+def test_path_counts_fail_before_simulating(tmp_path, capsys, monkeypatch, command, settings,
+                                            field):
+    # a fit needs a path per bag, every valued or boundary ensemble one path;
+    # nothing is simulated, fitted or written before the count is refused
+    common = ["--set", "k_train=300", "--set", "k_test=300", "--set", "steps=5",
+              "--set", "bags=4", "--out", str(tmp_path / "out")]
+    if command == "evaluate":
+        assert main(["train", *common[:-1], str(tmp_path / "fit")]) == 0
+        common += ["--stopper", str(tmp_path / "fit" / "stopper.txt")]
+    capsys.readouterr()
+
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("an ensemble was built before the path counts were checked")
+
+    monkeypatch.setattr(ExperimentConfig, "make_ensemble", no_ensemble)
+    monkeypatch.setattr(ExperimentConfig, "ensemble_chunks", no_ensemble)
+    assert main([command, *common, *overrides(settings)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: field {field}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_path_counts_check_only_the_simulated_ensembles(tmp_path):
+    # train never simulates the test ensemble, so it does not need a test path
+    assert main(["train", "--set", "k_train=300", "--set", "k_test=0", "--set", "steps=5",
+                 "--set", "bags=4", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "stopper.txt").exists()
 
 
 @pytest.mark.parametrize("field, trained, evaluated", [
@@ -458,6 +519,22 @@ def test_truncated_stopper_file_exits_with_error(tmp_path, capsys):
     dump.write_text(text[: text.rindex("endtree")])
     assert main(["evaluate", "--stopper", str(dump), *common]) == 2
     assert capsys.readouterr().err.startswith("error: stopper dump ends inside")
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_non_finite_threshold_exits_with_error(tmp_path, capsys, threshold):
+    common = ["--set", "k_train=400", "--set", "k_test=60", "--set", "steps=3",
+              "--set", "bags=2", "--set", "x0=90", "--out", str(tmp_path)]
+    assert main(["train", *common]) == 0
+    dump = tmp_path / "stopper.txt"
+    text, found = re.subn(r"^(\d+ split \d+ )\S+", rf"\g<1>{threshold}", dump.read_text(),
+                          count=1, flags=re.M)
+    assert found == 1
+    dump.write_text(text)
+    assert main(["evaluate", "--stopper", str(dump), *common]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"split 0 {threshold} " in err
+    assert not (tmp_path / "valuation.csv").exists()
 
 
 def test_oracle_subcommand_all_equal(tmp_path):

@@ -14,15 +14,14 @@ from treestop.stopper import (
     TrainConfig,
     apply,
     first_hit,
-    loo_stop_mask,
     train,
 )
 
-from oracles import deterministic_best_stop
+from oracles import constant_tree, deterministic_best_stop
 
 
 def constant_stopper(weight, bags, steps, spec, feature_mode="raw", n_features=1):
-    trees = [[CartTree.single_leaf(weight, n_features) for _ in range(steps)]
+    trees = [[constant_tree(weight, n_features) for _ in range(steps)]
              for _ in range(bags)]
     return BaggedStopper(trees, feature_mode, spec)
 
@@ -44,7 +43,7 @@ def test_always_stop_rule_stops_at_zero():
     stopper = constant_stopper(1, 3, 4, PUT4)
     res = apply(stopper, paths)
     assert np.all(res.stop_step == 0)
-    assert np.all(res.realized == reward(PUT4, 0, np.array([90.0])))
+    assert np.all(res.realized == reward(PUT4, 0, np.array([[90.0]])))
     assert np.bincount(res.stop_step, minlength=5)[0] == paths.num_paths
 
 
@@ -58,8 +57,8 @@ def test_never_stop_rule_stops_at_terminal():
 
 def test_half_vote_reaches_projector_threshold():
     paths = small_put_ensemble(x0=90.0)
-    trees = [[CartTree.single_leaf(1, 1) for _ in range(4)],
-             [CartTree.single_leaf(0, 1) for _ in range(4)]]
+    trees = [[constant_tree(1, 1) for _ in range(4)],
+             [constant_tree(0, 1) for _ in range(4)]]
     stopper = BaggedStopper(trees, "raw", PUT4)
     res = apply(stopper, paths)
     assert np.all(res.stop_step == 0)
@@ -100,10 +99,21 @@ def test_first_hit_consistency_and_decomposition():
     assert np.array_equal((f * np.arange(N + 1)).sum(axis=1).astype(int), res.stop_step)
 
 
+def assert_votes_like_trees(stopper, n, feats, preds, own):
+    """``stop_votes`` and ``step_rule`` count the (B, K) per-tree ``preds``."""
+    bags = preds.shape[0]
+    full = stopper.stop_votes(n, feats)
+    assert full.dtype == np.int32
+    np.testing.assert_array_equal(full, preds.sum(axis=0))
+    np.testing.assert_array_equal(stopper.stop_votes(n, feats, own),
+                                  preds.sum(axis=0) - preds[own, np.arange(preds.shape[1])])
+    np.testing.assert_array_equal(stopper.step_rule(n, feats), preds.sum(axis=0) * 2 >= bags)
+
+
 @pytest.mark.parametrize("bags", [3, 4])
 def test_apply_is_first_hit_majority_of_single_vector_votes(bags):
     # brute force: walk each path's steps, polling every bag tree on one
-    # feature vector at a time, and stop at the first half-or-more STOP vote
+    # feature row at a time, and stop at the first half-or-more STOP vote
     spec = GbmSpec.symmetric(2, 100.0, -0.05, 0.3, 1.0, 4)
     paths = generate_gbm(spec, 120, seed=5)
     rspec = RewardSpec("max_call", 0.05, 100.0, 1.0, 4)
@@ -116,22 +126,22 @@ def test_apply_is_first_hit_majority_of_single_vector_votes(bags):
     stop_step = np.full(test.num_paths, N)
     for k in range(test.num_paths):
         for n in range(N):
-            x = features("four_features", rspec, n, test.state_at(n)[k])
-            if sum(stopper.trees[b][n].predict(x) for b in range(bags)) * 2 >= bags:
+            x = features("four_features", rspec, n, test.state_at(n)[k:k + 1])
+            if sum(stopper.trees[b][n].predict(x)[0] for b in range(bags)) * 2 >= bags:
                 stop_step[k] = n
                 break
-    realized = [reward(rspec, stop_step[k], test.state_at(stop_step[k])[k])
+    realized = [reward(rspec, stop_step[k], test.state_at(stop_step[k])[k:k + 1])[0]
                 for k in range(test.num_paths)]
     np.testing.assert_array_equal(res.stop_step, stop_step)
     np.testing.assert_array_equal(res.realized, realized)
     assert 0 < np.bincount(res.stop_step, minlength=N + 1)[N] < test.num_paths
 
+    rng = np.random.Generator(np.random.Philox(bags))
     for n in range(N):
         feats = features("four_features", rspec, n, test.state_at(n))
-        preds = [stopper.trees[b][n].predict(feats) for b in range(bags)]
-        np.testing.assert_array_equal(stopper.bag_predictions(n, feats), preds)
-        np.testing.assert_array_equal(stopper.step_rule(n, feats),
-                                      np.sum(preds, axis=0) * 2 >= bags)
+        preds = np.array([stopper.trees[b][n].predict(feats) for b in range(bags)])
+        assert stopper.interval_table(n) is None
+        assert_votes_like_trees(stopper, n, feats, preds, rng.integers(0, bags, size=test.num_paths))
 
 
 # thresholds shared across bags, both signed zeros, and values a few ulps apart
@@ -173,9 +183,9 @@ def test_interval_table_votes_like_every_tree(data, bags, steps):
                             [-0.0, 0.0, -np.finfo(float).max, np.finfo(float).max],
                             extremes])[:, None]
         preds = np.array([row[n].predict(x) for row in trees])
-        np.testing.assert_array_equal(stopper.bag_predictions(n, x), preds)
-        np.testing.assert_array_equal(stopper.step_rule(n, x),
-                                      preds.sum(axis=0) * 2 >= bags)
+        own = np.array(data.draw(st.lists(st.integers(0, bags - 1), min_size=len(x),
+                                          max_size=len(x))), dtype=np.int64)
+        assert_votes_like_trees(stopper, n, x, preds, own)
         assert stopper.interval_table(n) is not None
 
 
@@ -247,7 +257,7 @@ def test_single_decision_step_collapses_to_bag_average_rule():
         tree = stopper.trees[b][0]
         assert tree.n_nodes == 1
         expected = 1 if u1[rows].mean() < u0 else 0
-        assert tree.predict(np.array([95.0])) == expected
+        assert tree.predict(np.array([[95.0]]))[0] == expected
 
 
 def test_deterministic_paths_reproduce_backward_induction():
@@ -258,7 +268,7 @@ def test_deterministic_paths_reproduce_backward_induction():
     rspec = RewardSpec("put", 1.0, 100.0, 1.0, 20)
     stopper = train(paths, rspec, TrainConfig(3, GrowConfig(), "raw", 5))
     res = apply(stopper, paths)
-    rewards = [float(reward(rspec, n, paths.state_at(n)[0])) for n in range(21)]
+    rewards = [reward(rspec, n, paths.state_at(n)[:1])[0] for n in range(21)]
     step, value = deterministic_best_stop(rewards)
     assert np.all(res.stop_step == step)
     assert np.allclose(res.realized, value)
@@ -327,19 +337,47 @@ def test_step_count_mismatch_rejected():
 # cross-validation building blocks
 # ---------------------------------------------------------------------------
 
+def bag_vote_stopper(stopping_bags, bags, n_features):
+    """One-step stopper whose first ``stopping_bags`` bags always vote STOP.
+
+    A one-feature step votes through its interval table, a wider one tree by
+    tree.
+    """
+    trees = [[constant_tree(int(b < stopping_bags), n_features)] for b in range(bags)]
+    return BaggedStopper(trees, "raw", RewardSpec("put", 0.05, 100.0, 1.0, 1))
+
+
 def test_leave_one_out_mask_ignores_own_tree():
-    votes = np.array([5, 5, 4, 9])
-    own = np.array([1, 0, 1, 1])
-    base = loo_stop_mask(votes, own, 10)
-    # flipping the path's own bag vote shifts both counters and cancels out
-    flipped = loo_stop_mask(votes + (1 - 2 * own), 1 - own, 10)
-    np.testing.assert_array_equal(base, flipped)
+    # flipping the tree of a row's own bag moves the all-bag count of every
+    # row but leaves that row's leave-one-out count alone
+    own = np.array([0, 7, 4, 9])
+    for n_features in (1, 2):
+        x = np.linspace(-1.0, 1.0, 4 * n_features).reshape(4, n_features)
+        base = bag_vote_stopper(5, 10, n_features)
+        np.testing.assert_array_equal(base.stop_votes(0, x), [5, 5, 5, 5])
+        assert (base.interval_table(0) is None) == (n_features > 1)
+        loo = base.stop_votes(0, x, own)
+        np.testing.assert_array_equal(loo, [4, 5, 4, 5])
+        for k, b in enumerate(own):
+            flipped = bag_vote_stopper(5, 10, n_features)
+            flipped.trees[b][0] = constant_tree(int(b >= 5), n_features)
+            assert flipped.stop_votes(0, x)[k] == 5 + (1 if b >= 5 else -1)
+            assert flipped.stop_votes(0, x, own)[k] == loo[k]
 
 
 def test_loo_threshold_is_half_of_remaining_bags():
-    votes = np.array([5, 4])
-    own = np.array([0, 0])
-    np.testing.assert_array_equal(loo_stop_mask(votes, own, 10), [True, False])
+    # 10 bags, 5 of them STOP: the full vote stops (5 of 10), and a row's
+    # leave-one-out count is 5 of the other 9 when its bag continues but 4 of
+    # 9 when its bag stops; the integer counts make the 4.5 cut exact
+    own = np.array([5, 0])
+    for n_features in (1, 2):
+        x = np.zeros((2, n_features))
+        stopper = bag_vote_stopper(5, 10, n_features)
+        loo = stopper.stop_votes(0, x, own)
+        assert loo.dtype == np.int32
+        np.testing.assert_array_equal(loo, [5, 4])
+        np.testing.assert_array_equal(loo * 2 >= 10 - 1, [True, False])
+        np.testing.assert_array_equal(stopper.step_rule(0, x), [True, True])
 
 
 def test_reward_augmented_features_reproduce_published_max_call():
@@ -414,6 +452,13 @@ MALFORMED_DUMPS = {
     "feature out of range": (lambda t: t.replace("0 split 0 1.0 1 2", "0 split 1 1.0 1 2"),
                              "0 split 1 1.0 1 2"),
     "node count": (lambda t: t.replace("tree nodes=3", "tree nodes=4"), "4 nodes"),
+    # no row passes a NaN test, so the left subtree would be unreachable
+    "nan threshold": (lambda t: t.replace("0 split 0 1.0 1 2", "0 split 0 nan 1 2"),
+                      "0 split 0 nan 1 2"),
+    "inf threshold": (lambda t: t.replace("0 split 0 1.0 1 2", "0 split 0 inf 1 2"),
+                      "0 split 0 inf 1 2"),
+    "-inf threshold": (lambda t: t.replace("0 split 0 1.0 1 2", "0 split 0 -inf 1 2"),
+                       "0 split 0 -inf 1 2"),
     # a well-formed 2 x 3 dump that carries the 4-step spec's reward hash
     "steps differ from spec": (lambda t: re.sub(r"begintree bag=\d step=3\n.*?endtree\n", "",
                                                 t.replace("steps 4", "steps 3"), flags=re.S),

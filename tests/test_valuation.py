@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from treestop import ensemble
-from treestop.cart import CartTree, GrowConfig
+from treestop.cart import GrowConfig
 from treestop.config import ExperimentConfig
 from treestop.ensemble import GbmSpec, PathEnsemble, generate_gbm
 from treestop.reward import RewardSpec, reward
@@ -23,6 +23,7 @@ from treestop.valuation import (
 
 from oracles import (
     binomial_bermudan_put,
+    constant_tree,
     european_report,
     european_value,
     reference_ls_forward,
@@ -32,7 +33,7 @@ PUT4 = RewardSpec("put", 0.05, 100.0, 1.0, 4)
 
 
 def constant_stopper(weight, bags, steps, spec):
-    trees = [[CartTree.single_leaf(weight, 1) for _ in range(steps)] for _ in range(bags)]
+    trees = [[constant_tree(weight, 1) for _ in range(steps)] for _ in range(bags)]
     return BaggedStopper(trees, "raw", spec)
 
 
@@ -74,7 +75,7 @@ def test_v_max_single_deterministic_path():
     spec = GbmSpec.symmetric(1, 105.0, -1.0, 0.0, 1.0, 20)
     paths = generate_gbm(spec, 1, seed=1)
     rspec = RewardSpec("put", 1.0, 100.0, 1.0, 20)
-    rewards = [float(reward(rspec, n, paths.state_at(n)[0])) for n in range(21)]
+    rewards = [reward(rspec, n, paths.state_at(n)[:1])[0] for n in range(21)]
     assert v_max(max_rewards(paths, rspec)).value == pytest.approx(max(rewards), rel=1e-12)
 
 
@@ -177,7 +178,7 @@ def test_oracle_deterministic_path_takes_max():
     spec = GbmSpec.symmetric(1, 105.0, -1.0, 0.0, 1.0, 4)
     paths = generate_gbm(spec, 1, seed=1)
     rspec = RewardSpec("put", 1.0, 100.0, 1.0, 4)
-    rewards = [float(reward(rspec, n, paths.state_at(n)[0])) for n in range(5)]
+    rewards = [reward(rspec, n, paths.state_at(n)[:1])[0] for n in range(5)]
     assert oracle_enumerate(paths, rspec).value == pytest.approx(max(rewards), rel=1e-12)
 
 
@@ -255,7 +256,7 @@ def test_european_monte_carlo_agreement():
 def make_result(stop_step, paths, spec):
     stop_step = np.asarray(stop_step)
     realized = np.array([
-        float(reward(spec, n, paths.state_at(n)[k]))
+        reward(spec, n, paths.state_at(n)[k:k + 1])[0]
         for k, n in enumerate(stop_step)
     ])
     return StopResult(stop_step, realized, paths.label, paths.seed, paths.num_steps)
