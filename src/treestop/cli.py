@@ -208,6 +208,8 @@ def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = T
     # a one-path ensemble of the same spec meets every check the full ones would
     probe = generate_gbm(cfg.gbm_spec(), 1, cfg.seed_train, TRAIN_LABEL, reward_spec.barrier)
     check_compat(probe, reward_spec, train_config.feature_mode if fit else stopper.feature_mode)
+    if boundary and probe.dim != 1:
+        raise ConfigError("boundary extraction needs one-dimensional paths")
     if with_ls:
         ls_fit(probe, reward_spec)  # raises outside the baseline's scope
     os.makedirs(cfg.out, exist_ok=True)

@@ -11,18 +11,17 @@ the same (spec, K, seed, barrier) always yields bit-identical data.
 Determinism contract
 --------------------
 Normals come from numpy's Philox counter-based bit generator seeded with the
-64-bit ensemble seed.  They are drawn path-major, in chunks of ``k`` paths at a
-time (``standard_normal((k, N, D))``, numpy's ziggurat transform), from that
-one stream: chunks of one stream give the same numbers as one
-``standard_normal((K, N, D))`` call.  Each chunk's normals buffer is turned
-into price ratios in place and transposed on write into the step-major
-array.  This is byte-stable across runs, machines and chunk sizes for a
-fixed numpy major version.
+64-bit ensemble seed.  They are drawn path-major, in blocks of ``k`` whole
+paths at a time (``standard_normal((k, N, D))``, numpy's ziggurat transform),
+from that one stream: blocks of one stream give the same numbers as one
+``standard_normal((K, N, D))`` call.  Each block is turned into price ratios
+in place and transposed on write into the step-major array.  This is
+byte-stable across runs, machines, block and chunk sizes for a fixed numpy
+major version.
 
-``CHUNK_BYTES`` bounds a chunk's path data.  ``generate_gbm`` fills one
-whole ensemble chunk by chunk; ``gbm_chunks`` yields the same paths as
-separate step-major ensembles, so a caller that only values them never
-holds the whole ensemble.
+``generate_gbm`` fills one whole ensemble; ``gbm_chunks`` yields the same
+paths as separate step-major ensembles of at most ``CHUNK_BYTES``, so a caller
+that only values them holds one chunk and one block of normals.
 """
 
 from __future__ import annotations
@@ -32,14 +31,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from treestop.reward import asset_max
+
 TRAIN_LABEL = "training"
 TEST_LABEL = "test"
 
-# Path data simulated per chunk.  Smaller chunks hold less memory but pay the
-# per-chunk Python overhead of valuing more often: N steps x B bag tree walks
-# for a multi-feature stopper, N table lookups for a one-feature stopper (its
-# step tables are built once, on the first chunk).
+# Path data per chunk, what a valuation holds.  Smaller chunks hold less memory
+# but pay the per-chunk Python overhead of valuing more often: N steps x B bag
+# tree walks for a multi-feature stopper, N table lookups for a one-feature
+# stopper (its step tables are built once, on the first chunk).
 CHUNK_BYTES = 16 * 2**20
+BLOCK_BYTES = 2**20  # normals per block, small enough to stay in cache
 
 
 def asymmetric_vols(dim: int) -> np.ndarray:
@@ -121,7 +123,7 @@ class PathEnsemble:
         data = np.ascontiguousarray(self.data)
         if data.ndim != 3 or 0 in data.shape:
             raise ValueError(f"data must be a non-empty (N+1, K, D) array, got shape {data.shape}")
-        if not np.all(np.isfinite(data)):
+        if not (np.isfinite(data.min()) and np.isfinite(data.max())):
             raise ValueError("non-finite path entries")
         if not np.all(data[0] == data[0, :1]):
             raise ValueError("every path must share the step-0 state")
@@ -162,23 +164,28 @@ def _fill(out: np.ndarray, rng: np.random.Generator, spec: GbmSpec,
           barrier: float | None) -> np.ndarray:
     """Simulate the next ``out.shape[1]`` paths of ``rng`` into the step-major ``out``.
 
-    The chunk's normals buffer is scaled, shifted, summed and exponentiated in
-    place, then multiplied by x0 and transposed on write into the asset
-    columns; with a barrier the last column gets the knock-out indicator.
+    Blocks of whole paths, at most ``BLOCK_BYTES`` of normals each, are drawn
+    into one buffer, scaled, shifted, summed and exponentiated in place, then
+    multiplied by x0 and transposed on write into their paths' asset columns;
+    with a barrier the block's last column gets the knock-out indicator.
     """
     N, D = spec.steps, spec.dim
     dt = spec.maturity / N
-    ratio = rng.standard_normal((out.shape[1], N, D))
-    ratio *= spec.vols * np.sqrt(dt)
-    ratio += (spec.mu - 0.5 * spec.vols**2) * dt
-    np.cumsum(ratio, axis=1, out=ratio)
-    # exp runs on the contiguous buffer: numpy's strided exp loop may round differently
-    np.exp(ratio, out=ratio)
-    assets = out[:, :, :D]
-    assets[0] = spec.x0
-    np.multiply(spec.x0, ratio.transpose(1, 0, 2), out=assets[1:])
-    if barrier is not None:
-        out[:, :, D] = np.maximum.accumulate(assets.max(axis=2), axis=0) <= barrier
+    per_block = max(1, BLOCK_BYTES // (8 * N * D))
+    buffer = np.empty((min(per_block, out.shape[1]), N, D))
+    out[0, :, :D] = spec.x0
+    for start in range(0, out.shape[1], per_block):
+        block = out[:, start:start + per_block]
+        ratio = rng.standard_normal(out=buffer[:block.shape[1]])
+        ratio *= spec.vols * np.sqrt(dt)
+        ratio += (spec.mu - 0.5 * spec.vols**2) * dt
+        np.cumsum(ratio, axis=1, out=ratio)
+        # exp runs on the contiguous buffer: numpy's strided exp loop may round differently
+        np.exp(ratio, out=ratio)
+        np.multiply(spec.x0, ratio.transpose(1, 0, 2), out=block[1:, :, :D])
+        if barrier is not None:
+            running = np.maximum.accumulate(asset_max(block[:, :, :D]), axis=0)
+            np.less_equal(running, barrier, out=block[:, :, D])
     return out
 
 
@@ -194,16 +201,13 @@ def generate_gbm(spec: GbmSpec, num_paths: int, seed: int, label: str = TRAIN_LA
     all asset coordinates and all steps n' <= n stays at or below ``barrier``,
     and 0 otherwise, so it never rises again after a breach.
 
-    ``data`` is allocated once, at its final shape, and filled chunk by chunk
-    from the one stream, so the only other buffer is one chunk's normals.
+    ``data`` is allocated once, at its final shape, and filled from the one
+    stream, so the only other buffer is one block of normals.
     """
     _check_request(num_paths, barrier)
     width = spec.dim + (barrier is not None)
     data = np.empty((spec.steps + 1, num_paths, width))
-    rng = np.random.Generator(np.random.Philox(seed))
-    starts = _chunk_starts(spec, num_paths, width)
-    for start in starts:
-        _fill(data[:, start:start + starts.step], rng, spec, barrier)
+    _fill(data, np.random.Generator(np.random.Philox(seed)), spec, barrier)
     return PathEnsemble(data, seed, label, has_barrier_indicator=barrier is not None)
 
 
@@ -211,22 +215,18 @@ def gbm_chunks(spec: GbmSpec, num_paths: int, seed: int, label: str = TRAIN_LABE
                barrier: float | None = None) -> Iterator[PathEnsemble]:
     """The paths of ``generate_gbm(spec, num_paths, seed, label, barrier)``, chunk by chunk.
 
-    Each chunk is a step-major ensemble of consecutive paths, at most
-    ``CHUNK_BYTES`` of path data (at least one path); concatenated along the
-    path axis the chunks equal ``generate_gbm``'s data byte for byte.  The
-    generator keeps no reference to a chunk it has yielded.
+    Each chunk is a step-major ensemble of consecutive paths, allocated at its
+    own size, at most ``CHUNK_BYTES`` of path data (at least one path);
+    concatenated along the path axis the chunks equal ``generate_gbm``'s data
+    byte for byte.  The generator keeps no reference to a chunk it has yielded.
     """
     _check_request(num_paths, barrier)
     width = spec.dim + (barrier is not None)
     rng = np.random.Generator(np.random.Philox(seed))
     starts = _chunk_starts(spec, num_paths, width)
-    shape = (spec.steps + 1, min(starts.step, num_paths), width)
     for start in starts:
-        # no local keeps the yielded chunk: once the caller drops it, it is freed
-        # before the next chunk is allocated.  A shorter last chunk is simulated in
-        # a block of the full size too and stored compact by PathEnsemble, so it
-        # does not split the freed block that the next full chunk reuses
-        yield PathEnsemble(_fill(np.empty(shape)[:, :num_paths - start], rng, spec, barrier),
+        shape = (spec.steps + 1, min(starts.step, num_paths - start), width)
+        yield PathEnsemble(_fill(np.empty(shape), rng, spec, barrier),
                            seed, label, has_barrier_indicator=barrier is not None)
 
 

@@ -76,14 +76,23 @@ def _as_states(x) -> np.ndarray:
     return arr
 
 
-def reward(spec: RewardSpec, n: int, x) -> np.ndarray:
+def asset_max(assets: np.ndarray) -> np.ndarray:
+    """Largest coordinate of each row of a (..., D) array, by running column passes."""
+    top = assets[..., 0].copy()
+    for d in range(1, assets.shape[-1]):
+        np.maximum(top, assets[..., d], out=top)
+    return top
+
+
+def reward(spec: RewardSpec, n: int, x, m1: np.ndarray | None = None) -> np.ndarray:
     """Discounted payoff u(n, x).
 
     put:        exp(-r n T / N)     * max(strike - x, 0)          for 1-D x
     max_call:   exp(-r n T / N)     * max(max_d x[d] - strike, 0)
     knock-out:  exp(-r n T / (N+1)) * max(max_{d<=D} x[d] - strike, 0) * x[D+1]
 
-    x is a (K, dim) matrix of states; the result has one reward per row.
+    x is a (K, dim) matrix of states; the result has one reward per row.  ``m1``
+    may pass in each row's largest asset coordinate, already computed.
     """
     if not 0 <= n <= spec.steps:
         raise ValueError(f"step {n} outside 0..{spec.steps}")
@@ -93,11 +102,11 @@ def reward(spec: RewardSpec, n: int, x) -> np.ndarray:
         if states.shape[1] != 1:
             raise ValueError("put reward is one-dimensional")
         return disc * np.maximum(spec.strike - states[:, 0], 0.0)
-    if spec.kind == MAX_CALL:
-        return disc * np.maximum(states.max(axis=1) - spec.strike, 0.0)
-    if states.shape[1] < 2:
+    if spec.kind == MAX_CALL_BARRIER and states.shape[1] < 2:
         raise ValueError("knock-out state needs asset coordinates plus indicator")
-    return disc * np.maximum(states[:, :-1].max(axis=1) - spec.strike, 0.0) * states[:, -1]
+    m1 = asset_max(_asset_block(spec, states)) if m1 is None else m1
+    payoff = disc * np.maximum(m1 - spec.strike, 0.0)
+    return payoff * states[:, -1] if spec.kind == MAX_CALL_BARRIER else payoff
 
 
 def _asset_block(spec: RewardSpec, states: np.ndarray) -> np.ndarray:
@@ -124,7 +133,8 @@ def features(mode: str, spec: RewardSpec, n: int, x) -> np.ndarray:
     assets = _asset_block(spec, states)
     if assets.shape[1] < 2:
         raise ValueError("four_features needs at least two asset coordinates")
-    top2 = np.partition(assets, assets.shape[1] - 2, axis=1)[:, -2:]
-    m1 = top2[:, 1]
-    m2 = top2[:, 0]
-    return np.stack([reward(spec, n, states), m1, m2, m1 - m2], axis=1)
+    m1, m2 = np.maximum(assets[:, 0], assets[:, 1]), np.minimum(assets[:, 0], assets[:, 1])
+    for d in range(2, assets.shape[1]):  # running top two, one pass over the columns
+        np.maximum(m2, np.minimum(m1, assets[:, d]), out=m2)
+        np.maximum(m1, assets[:, d], out=m1)
+    return np.stack([reward(spec, n, states, m1), m1, m2, m1 - m2], axis=1)

@@ -232,6 +232,24 @@ def reference_gbm(spec, num_paths, seed, label, barrier=None):
     return PathEnsemble(data.transpose(1, 0, 2), seed, label, has_barrier_indicator=True)
 
 
+def reference_reward(spec, n, states):
+    """``reward`` of a (K, dim) matrix with the asset maximum taken by ``max(axis=1)``."""
+    disc = spec.discount(n)
+    if spec.kind == "put":
+        return disc * np.maximum(spec.strike - states[:, 0], 0.0)
+    if spec.kind == "max_call":
+        return disc * np.maximum(states.max(axis=1) - spec.strike, 0.0)
+    return disc * np.maximum(states[:, :-1].max(axis=1) - spec.strike, 0.0) * states[:, -1]
+
+
+def reference_four_features(spec, n, states):
+    """(u, m1, m2, m1 - m2) per row, the top two assets by ``np.partition``."""
+    assets = states[:, :-1] if spec.kind == "max_call_barrier" else states
+    top2 = np.partition(assets, assets.shape[1] - 2, axis=1)[:, -2:]
+    m1, m2 = top2[:, 1], top2[:, 0]
+    return np.stack([reference_reward(spec, n, states), m1, m2, m1 - m2], axis=1)
+
+
 def _norm_cdf(x):
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 

@@ -410,6 +410,33 @@ def test_path_counts_fail_before_simulating(tmp_path, capsys, monkeypatch, comma
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, settings", [
+    ("boundary", []),
+    ("evaluate", ["with_boundary=true"]),
+])
+def test_boundary_of_multi_dimensional_paths_fails_before_simulating(tmp_path, capsys,
+                                                                     monkeypatch, command,
+                                                                     settings):
+    # the boundary reads one-dimensional paths: a max-call config is refused
+    # before any ensemble is simulated, any stopper fitted or any file written
+    common = [*overrides([*MAX_CALL_3, "dim=2", "k_train=200", "k_test=200"]),
+              "--out", str(tmp_path / "out")]
+    if command == "evaluate":
+        assert main(["train", *common[:-1], str(tmp_path / "fit")]) == 0
+        common += ["--stopper", str(tmp_path / "fit" / "stopper.txt")]
+    capsys.readouterr()
+
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("an ensemble was built before the boundary was checked")
+
+    monkeypatch.setattr(ExperimentConfig, "make_ensemble", no_ensemble)
+    monkeypatch.setattr(ExperimentConfig, "ensemble_chunks", no_ensemble)
+    assert main([command, *common, *overrides(settings)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "one-dimensional paths" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_path_counts_check_only_the_simulated_ensembles(tmp_path):
     # train never simulates the test ensemble, so it does not need a test path
     assert main(["train", "--set", "k_train=300", "--set", "k_test=0", "--set", "steps=5",
@@ -483,10 +510,8 @@ def test_evaluate_memory_stays_below_half_the_test_ensemble(tmp_path):
     assert peak < ensemble_bytes / 2
 
 
-def test_barrier_evaluate_memory_stays_below_two_and_a_half_chunks(tmp_path):
-    # a streamed evaluate of this config peaks at about 2.14 chunks;
-    # a chunk kept past its iteration (+1 chunk), or a chunk's (N+1, k, 4)
-    # feature block kept while the next one is simulated (+0.44), breaks the bound
+def barrier_guard_evaluate_peak(tmp_path):
+    """tracemalloc peak of evaluating a barrier-d8-like config of five chunks."""
     k_test, steps, dim = 20000, 53, 8
     per_chunk = ensemble.CHUNK_BYTES // (8 * (steps + 1) * (dim + 1))
     assert -(-k_test // per_chunk) == 5
@@ -498,10 +523,22 @@ def test_barrier_evaluate_memory_stays_below_two_and_a_half_chunks(tmp_path):
     tracemalloc.start()
     try:
         assert main(["evaluate", "--stopper", str(tmp_path / "stopper.txt"), *common]) == 0
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * ensemble.CHUNK_BYTES
+
+
+def test_barrier_evaluate_memory_stays_below_two_and_a_half_chunks(tmp_path):
+    # a streamed evaluate of this config peaks at about 1.13 chunks;
+    # a chunk kept past its iteration (+1 chunk), or a chunk's (N+1, k, 4)
+    # feature block kept while the next one is simulated (+0.44), breaks the bound
+    assert barrier_guard_evaluate_peak(tmp_path) < 2.5 * ensemble.CHUNK_BYTES
+
+
+def test_barrier_evaluate_memory_stays_below_one_and_a_half_chunks(tmp_path):
+    # one chunk, one block of normals and one step's features and votes; the
+    # chunk's whole normals buffer next to it (+0.98 chunk) breaks the bound
+    assert barrier_guard_evaluate_peak(tmp_path) < 1.5 * ensemble.CHUNK_BYTES
 
 
 def test_missing_stopper_file_exits_nonzero(tmp_path):

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from treestop import ensemble
 from treestop.ensemble import (
+    BLOCK_BYTES,
     CHUNK_BYTES,
     GbmSpec,
     PathEnsemble,
@@ -128,18 +130,24 @@ def chunk_bytes_for(spec, barrier, chunk_paths):
 
 
 @settings(max_examples=200, deadline=None)
-@given(gbm_cases(), st.sampled_from(["training", "test"]), st.none() | st.integers(1, 8))
-def test_generate_gbm_matches_reference(case, label, chunk_paths):
-    # the chunked in-place build gives the bytes of the step-by-step reference,
-    # both in one chunk and in chunks of chunk_paths paths (the last one ragged
-    # unless chunk_paths divides num_paths)
+@given(gbm_cases(), st.sampled_from(["training", "test"]), st.none() | st.integers(1, 8),
+       st.sampled_from([None, 1, 3]))
+def test_generate_gbm_matches_reference(case, label, chunk_paths, block_paths):
+    # the blocked in-place build gives the bytes of the step-by-step reference,
+    # both whole and as gbm_chunks of chunk_paths paths (the last one ragged
+    # unless chunk_paths divides num_paths), with normals drawn in blocks of
+    # BLOCK_BYTES or of block_paths paths (the last block ragged too)
     spec, num_paths, seed, barrier = case
     chunk_bytes = CHUNK_BYTES if chunk_paths is None else chunk_bytes_for(spec, barrier, chunk_paths)
-    with mock.patch.object(ensemble, "CHUNK_BYTES", chunk_bytes):
+    block_bytes = BLOCK_BYTES if block_paths is None else block_paths * 8 * spec.steps * spec.dim
+    with mock.patch.object(ensemble, "CHUNK_BYTES", chunk_bytes), \
+            mock.patch.object(ensemble, "BLOCK_BYTES", block_bytes):
         paths = generate_gbm(spec, num_paths, seed, label, barrier)
+        chunks = list(gbm_chunks(spec, num_paths, seed, label, barrier))
     ref = reference_gbm(spec, num_paths, seed, label, barrier)
     assert paths.data.shape == ref.data.shape and paths.data.dtype == ref.data.dtype
     assert paths.data.tobytes() == ref.data.tobytes()
+    assert np.concatenate([c.data for c in chunks], axis=1).tobytes() == ref.data.tobytes()
     assert paths.has_barrier_indicator is ref.has_barrier_indicator
     assert (paths.dim, paths.seed, paths.label) == (ref.dim, ref.seed, ref.label)
 
@@ -156,10 +164,42 @@ def test_gbm_chunks_concatenate_to_generate_gbm(monkeypatch, barrier, chunk_path
     assert [c.num_paths for c in chunks] == sizes
     for c in chunks:
         assert (c.seed, c.label, c.has_barrier_indicator) == (4, "test", barrier is not None)
-        # a shorter last chunk does not keep the full-size block it was simulated in
+        # every chunk, a shorter last one too, is allocated at its own size
         assert c.data.base is None or c.data.base.nbytes == c.data.nbytes
     joined = np.concatenate([c.data for c in chunks], axis=1)
     assert joined.tobytes() == whole.data.tobytes()
+
+
+def traced_peak(run):
+    """Peak bytes that tracemalloc sees allocated while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+MAXCALL_D5 = GbmSpec.symmetric(5, 100.0, -0.05, 0.2, 3.0, 9)
+
+
+def test_gbm_chunks_pass_holds_one_chunk_and_one_block():
+    # two full chunks and a short last one; a second chunk-sized buffer (the
+    # chunk's normals, or a compact copy of the last chunk) breaks the bound
+    per_chunk = CHUNK_BYTES // (8 * 10 * 5)
+
+    def drop_each():
+        for chunk in gbm_chunks(MAXCALL_D5, 2 * per_chunk + per_chunk // 3, seed=1, label="test"):
+            del chunk
+
+    assert traced_peak(drop_each) < 1.25 * CHUNK_BYTES
+
+
+def test_generate_gbm_holds_the_ensemble_and_one_block():
+    # about three chunks of paths; one chunk's normals next to it reads 1.38 ensembles
+    num_paths = 3 * CHUNK_BYTES // (8 * 10 * 5)
+    peak = traced_peak(lambda: generate_gbm(MAXCALL_D5, num_paths, seed=1))
+    assert peak < 1.2 * num_paths * 10 * 5 * 8
 
 
 @pytest.mark.parametrize("label", ["training", "test"])
@@ -193,6 +233,7 @@ def _differs_at_step_zero():
     (np.full((3, 2, 1), np.inf), "test", "non-finite"),
     (_differs_at_step_zero(), "training", "step-0"),
     (np.full((3, 2, 1), 100.0), "validation", "label"),
+    (np.concatenate([np.full((2, 2, 1), 100.0), np.full((1, 2, 1), -np.inf)]), "test", "non-finite"),
 ])
 def test_path_ensemble_validation(data, label, match):
     with pytest.raises(ValueError, match=match):

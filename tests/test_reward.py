@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from treestop.reward import RewardSpec, features, reward
 
+from oracles import reference_four_features, reference_reward
+
 
 PUT50 = RewardSpec("put", 0.05, 100.0, 1.0, 50)
 CALL9 = RewardSpec("max_call", 0.05, 100.0, 3.0, 9)
@@ -134,3 +136,33 @@ def test_feature_gap_invariants(xs):
     assert out[1] >= out[2]
     assert out[3] >= 0.0
     assert out[1] == max(xs)
+
+
+@st.composite
+def max_call_states(draw):
+    """A max-call or knock-out spec, a step and a (K, dim) state matrix with
+    D = 2..9 assets drawn from few values (ties), +-0.0 included."""
+    spec = draw(st.sampled_from([CALL9, BARRIER53]))
+    dim, rows = draw(st.integers(2, 9)), draw(st.integers(1, 12))
+    value = st.sampled_from([0.0, -0.0, 90.0, 100.0, 120.0]) | st.floats(1.0, 300.0)
+    states = np.array(draw(st.lists(st.lists(value, min_size=dim, max_size=dim),
+                                    min_size=rows, max_size=rows)))
+    if spec is BARRIER53:
+        indicator = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=rows, max_size=rows))
+        states = np.column_stack([states, indicator])
+    return spec, draw(st.integers(0, spec.steps)), states
+
+
+@settings(max_examples=300, deadline=None)
+@given(max_call_states())
+def test_column_passes_match_partition_and_max(case):
+    # byte-equal on positive assets (every GBM state); a +-0.0 may come out with
+    # the other sign, so there the values are compared
+    spec, n, states = case
+    got = (features("four_features", spec, n, states), reward(spec, n, states))
+    want = (reference_four_features(spec, n, states), reference_reward(spec, n, states))
+    assets = states[:, :-1] if spec is BARRIER53 else states
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+        if np.all(assets > 0):
+            assert g.tobytes() == w.tobytes()
