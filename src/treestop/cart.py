@@ -225,10 +225,10 @@ class CartTree:
     x[feature[i]] <= threshold[i].
 
     ``predict`` evaluates a matrix by partition traversal: a stack of (node,
-    row indices) pairs starts with the root holding every row; an internal
-    node compares only its own rows on its split column and pushes the two
-    halves, and a leaf assigns its weight to its rows.  Each row is compared
-    once per node on its root-to-leaf path and nowhere else.
+    row indices) pairs starts with the root holding every listed row; an
+    internal node compares only its own rows on its split column and pushes
+    the two halves, and a STOP leaf marks its rows.  Each listed row is
+    compared once per node on its root-to-leaf path and nowhere else.
     """
 
     __slots__ = ("feature", "threshold", "left", "right", "leaf_weight", "n_features")
@@ -261,23 +261,28 @@ class CartTree:
                 out = max(out, int(depths[i]))
         return out
 
-    def predict(self, x) -> np.ndarray:
-        """(K,) int8 leaf weights reached by the rows of a (K, d) matrix.
-        Rows are routed by partition (see the class docstring)."""
+    def predict(self, x, rows=None) -> np.ndarray:
+        """(K,) int8 leaf weights reached by the listed ``rows`` (all by default)
+        of a (K, d) matrix, 0 on the other rows.  Each split reads its column as
+        one 1-D ``take``, contiguous when ``x`` is column-major (Fortran order);
+        rows are routed by partition (see the class docstring)."""
         arr = np.asarray(x, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != self.n_features:
             raise ValueError(f"expected feature dim {self.n_features}, got shape {arr.shape}")
-        out = np.empty(arr.shape[0], dtype=np.int8)
-        stack = [(0, np.arange(arr.shape[0]))]
+        cols = arr.T
+        feature, threshold, left, right, weight = (a.tolist() for a in (
+            self.feature, self.threshold, self.left, self.right, self.leaf_weight))
+        out = np.zeros(arr.shape[0], dtype=np.int8)
+        stack = [(0, np.arange(arr.shape[0]) if rows is None else rows)]
         while stack:
-            node, rows = stack.pop()
-            f = self.feature[node]
-            if f < 0:
-                out[rows] = self.leaf_weight[node]
-            elif rows.shape[0]:
-                go_left = arr[rows, f] <= self.threshold[node]
-                stack.append((self.right[node], rows[~go_left]))
-                stack.append((self.left[node], rows[go_left]))
+            node, idx = stack.pop()
+            f = feature[node]
+            if f < 0 and weight[node]:
+                out[idx] = 1
+            elif f >= 0 and idx.shape[0]:
+                go_left = cols[f].take(idx) <= threshold[node]
+                stack.append((right[node], idx.compress(~go_left)))
+                stack.append((left[node], idx.compress(go_left)))
         return out
 
     def to_text(self) -> str:

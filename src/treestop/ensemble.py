@@ -37,9 +37,9 @@ TRAIN_LABEL = "training"
 TEST_LABEL = "test"
 
 # Path data per chunk, what a valuation holds.  Smaller chunks hold less memory
-# but pay the per-chunk Python overhead of valuing more often: N steps x B bag
-# tree walks for a multi-feature stopper, N table lookups for a one-feature
-# stopper (its step tables are built once, on the first chunk).
+# but pay the per-chunk Python overhead more often: N steps x B tree walks, each
+# over the rows whose majority vote is still open, for a multi-feature stopper;
+# N table lookups for a one-feature stopper (tables are built on the first chunk).
 CHUNK_BYTES = 16 * 2**20
 BLOCK_BYTES = 2**20  # normals per block, small enough to stay in cache
 

@@ -121,7 +121,7 @@ def features(mode: str, spec: RewardSpec, n: int, x) -> np.ndarray:
     raw_plus_reward -> x with u(n, x) appended
     four_features   -> (u(n, x), m1, m2, m1 - m2) where m1 is the largest
                        asset coordinate and m2 the largest over the remaining
-                       coordinates (ties make m2 == m1).
+                       coordinates (ties make m2 == m1), column-major.
     """
     if mode not in FEATURE_MODES:
         raise ValueError(f"unknown feature mode {mode!r}")
@@ -137,4 +137,4 @@ def features(mode: str, spec: RewardSpec, n: int, x) -> np.ndarray:
     for d in range(2, assets.shape[1]):  # running top two, one pass over the columns
         np.maximum(m2, np.minimum(m1, assets[:, d]), out=m2)
         np.maximum(m1, assets[:, d], out=m1)
-    return np.stack([reward(spec, n, states, m1), m1, m2, m1 - m2], axis=1)
+    return np.stack([reward(spec, n, states, m1), m1, m2, m1 - m2]).T

@@ -22,7 +22,7 @@ import numpy as np
 
 from treestop.cart import CartTree, GrowConfig, grow, removal
 from treestop.ensemble import PathEnsemble
-from treestop.reward import FEATURE_MODES, RewardSpec, features, reward
+from treestop.reward import FEATURE_MODES, FOUR_FEATURES, RAW, RewardSpec, features, reward
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,8 @@ class IntervalTable(NamedTuple):
 class BaggedStopper:
     """B x N array of trees plus the majority projector.
 
-    trees[b][n] votes STOP/CONTINUE for step n, and ``stop_votes`` counts a
-    step's votes.  The estimated per-step rule ``step_rule`` is g_n(x) =
+    trees[b][n] votes STOP/CONTINUE for step n, and ``stops`` takes a step's
+    majority vote.  The estimated per-step rule ``step_rule`` is g_n(x) =
     1{ mean_b trees[b][n](features(n, x)) >= 1/2 } for n < N and the constant
     STOP at n = N.  Stopping a path means taking the first step whose rule fires.
 
@@ -95,13 +95,17 @@ class BaggedStopper:
             self._tables[n] = table
         return self._tables[n]
 
-    def stop_votes(self, n: int, feats: np.ndarray, own=None) -> np.ndarray:
-        """(K,) int32 count of step-n STOP votes on the feature rows.
+    def stops(self, n: int, feats: np.ndarray, own=None) -> np.ndarray:
+        """(K,) bool: whether at least half of step n's voting bags vote STOP.
 
-        The count runs over all bags, or, given a (K,) integer array ``own``,
-        over all bags except bag ``own[k]`` for row k (the leave-one-bag-out
-        vote of training).
+        All bags vote, or, given a (K,) integer array ``own``, all bags except
+        bag ``own[k]`` on row k (the leave-one-bag-out vote of training).  A
+        step without an interval table routes rows tree by tree, on
+        column-major features, and stops routing a row once the votes still
+        to come cannot change its majority.
         """
+        voters = self.bags if own is None else self.bags - 1
+        need = (voters + 1) // 2
         table = self.interval_table(n)
         if table is not None:
             if feats.ndim != 2 or feats.shape[1] != 1:
@@ -110,20 +114,24 @@ class BaggedStopper:
             count = table.count[idx]
             if own is not None:
                 count -= table.votes[own, idx]
-            return count
-        votes = np.empty((self.bags, feats.shape[0]), dtype=np.int8)
+            return count >= need
+        cols = np.asfortranarray(feats)
+        count = np.zeros(feats.shape[0], dtype=np.int32)
+        rows = np.arange(feats.shape[0])
         for b in range(self.bags):
-            votes[b] = self.trees[b][n].predict(feats)
-        count = votes.sum(axis=0, dtype=np.int32)
-        if own is not None:
-            count -= votes[own, np.arange(feats.shape[0])]
-        return count
+            voting = rows if own is None else rows.compress(own.take(rows) != b)
+            count += self.trees[b][n].predict(cols, voting)
+            if b + 1 >= min(need, voters - need + 1):  # no row is decided before
+                seen = count.take(rows)
+                to_come = self.bags - 1 - b - (0 if own is None else own.take(rows) > b)
+                rows = rows.compress((seen < need) & (seen + to_come >= need))
+        return count >= need
 
     def step_rule(self, n: int, feats: np.ndarray) -> np.ndarray:
         """Boolean g_n over feature rows (full-bag average projected at 1/2)."""
         if n >= self.reward_spec.steps:
             return np.ones(feats.shape[0], dtype=bool)
-        return self.stop_votes(n, feats) * 2 >= self.bags
+        return self.stops(n, feats)
 
     def serialize(self) -> str:
         lines = [
@@ -251,12 +259,14 @@ def train(paths: PathEnsemble, reward_spec: RewardSpec, config: TrainConfig) -> 
 
     for n in range(N - 1, -1, -1):
         feats_n = features(config.feature_mode, reward_spec, n, paths.state_at(n))[order]
-        u_n = reward(reward_spec, n, paths.state_at(n))[order]
+        feats_n = np.asfortranarray(feats_n)  # contiguous split columns for the LOO vote
+        u_n = (reward(reward_spec, n, paths.state_at(n))[order] if config.feature_mode == RAW
+               else feats_n[:, 0 if config.feature_mode == FOUR_FEATURES else -1])  # reward column
         for b, rows in enumerate(bags):
             samples = removal(feats_n[rows], (u_at_tau[rows] - u_n[rows]) / K)
             stopper.trees[b][n] = grow(samples, config.grow)
         # leave-one-out update: stop where the other B-1 bags' mean vote >= 1/2
-        stop = stopper.stop_votes(n, feats_n, own) * 2 >= B - 1
+        stop = stopper.stops(n, feats_n, own)
         u_at_tau[stop] = u_n[stop]
 
     return stopper

@@ -343,6 +343,24 @@ def test_predict_matches_per_row_walk(m, d, seed, splitter, max_depth, min_node_
     assert empty.dtype == np.int8 and empty.shape == (0,)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 40), st.integers(1, 4), st.integers(0, 2**32),
+       st.sampled_from([DELTA, PROTOTYPE]), st.booleans())
+def test_predict_routes_only_the_listed_rows(m, d, seed, splitter, fortran):
+    rng = np.random.Generator(np.random.Philox(seed))
+    s = removal(np.round(rng.uniform(-5, 5, size=(m, d)), 1), rng.normal(size=m))
+    probes = np.round(rng.uniform(-5, 5, size=(60, d)), 1)
+    probes = np.asfortranarray(probes) if fortran else probes
+    picked = np.flatnonzero(rng.random(60) < 0.5)
+    for tree in (grow(s, GrowConfig(6, 1, splitter)), constant_tree(1, d)):
+        full = tree.predict(probes)
+        for rows in (picked, picked[:1], np.arange(0), np.arange(60)):
+            part = tree.predict(probes, rows)
+            assert part.dtype == np.int8 and part.shape == (60,)
+            np.testing.assert_array_equal(part[rows], full[rows])
+            np.testing.assert_array_equal(np.delete(part, rows), 0)
+
+
 def test_grow_config_validation():
     with pytest.raises(ValueError):
         GrowConfig(max_depth=-1)

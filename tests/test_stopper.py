@@ -99,15 +99,27 @@ def test_first_hit_consistency_and_decomposition():
     assert np.array_equal((f * np.arange(N + 1)).sum(axis=1).astype(int), res.stop_step)
 
 
+def bag_majority(preds, own=None):
+    """Brute force: per row, whether at least half of the voting bags' ``preds`` say STOP.
+
+    ``preds`` is the (B, K) matrix of per-tree votes; all bags vote, or all
+    but bag ``own[k]`` on row k.
+    """
+    bags, rows = preds.shape
+    if own is None:
+        return np.array([sum(preds[:, k]) * 2 >= bags for k in range(rows)], dtype=bool)
+    return np.array([sum(preds[b, k] for b in range(bags) if b != own[k]) * 2 >= bags - 1
+                     for k in range(rows)], dtype=bool)
+
+
 def assert_votes_like_trees(stopper, n, feats, preds, own):
-    """``stop_votes`` and ``step_rule`` count the (B, K) per-tree ``preds``."""
-    bags = preds.shape[0]
-    full = stopper.stop_votes(n, feats)
-    assert full.dtype == np.int32
-    np.testing.assert_array_equal(full, preds.sum(axis=0))
-    np.testing.assert_array_equal(stopper.stop_votes(n, feats, own),
-                                  preds.sum(axis=0) - preds[own, np.arange(preds.shape[1])])
-    np.testing.assert_array_equal(stopper.step_rule(n, feats), preds.sum(axis=0) * 2 >= bags)
+    """``stops`` and ``step_rule`` give the majority of the (B, K) per-tree ``preds``."""
+    full = stopper.stops(n, feats)
+    assert full.dtype == bool and full.shape == (feats.shape[0],)
+    np.testing.assert_array_equal(full, bag_majority(preds))
+    np.testing.assert_array_equal(full, preds.sum(axis=0) * 2 >= preds.shape[0])
+    np.testing.assert_array_equal(stopper.stops(n, feats, own), bag_majority(preds, own))
+    np.testing.assert_array_equal(stopper.step_rule(n, feats), full)
 
 
 @pytest.mark.parametrize("bags", [3, 4])
@@ -149,30 +161,31 @@ THRESHOLDS = st.sampled_from([-2.5, -1.0, -0.0, 0.0, 5e-324, 1.0, np.nextafter(1
 
 
 @st.composite
-def one_feature_tree(draw, max_depth=4):
-    """A random tree on one feature; its thresholds need not be ordered down the tree."""
+def random_tree(draw, n_features=1, max_depth=4):
+    """A random tree; its thresholds need not be ordered down the tree."""
     nodes = []  # [feature, threshold, left, right, leaf weight] per node
 
     def node(depth):
         i = len(nodes)
         nodes.append([-1, 0.0, -1, -1, -1])
         if depth < max_depth and draw(st.booleans()):
+            feature = draw(st.integers(0, n_features - 1))
             threshold = draw(THRESHOLDS | st.floats(-4.0, 4.0))
             left = node(depth + 1)
-            nodes[i][:4] = [0, threshold, left, node(depth + 1)]
+            nodes[i][:4] = [feature, threshold, left, node(depth + 1)]
         else:
             nodes[i][4] = draw(st.integers(0, 1))
         return i
 
     node(0)
-    return CartTree(*zip(*nodes), n_features=1)
+    return CartTree(*zip(*nodes), n_features=n_features)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data(), st.integers(2, 5), st.integers(1, 3))
 def test_interval_table_votes_like_every_tree(data, bags, steps):
     spec = RewardSpec("put", 0.05, 100.0, 1.0, steps)
-    trees = [[data.draw(one_feature_tree()) for _ in range(steps)] for _ in range(bags)]
+    trees = [[data.draw(random_tree()) for _ in range(steps)] for _ in range(bags)]
     stopper = BaggedStopper(trees, "raw", spec)
     for n in range(steps):
         thresholds = np.concatenate([t.threshold[t.feature >= 0] for t in
@@ -187,6 +200,37 @@ def test_interval_table_votes_like_every_tree(data, bags, steps):
                                           max_size=len(x))), dtype=np.int64)
         assert_votes_like_trees(stopper, n, x, preds, own)
         assert stopper.interval_table(n) is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(2, 11), st.integers(2, 5), st.booleans())
+def test_stops_is_the_majority_of_every_tree(data, bags, n_features, mirrored):
+    # trees reading several features vote tree by tree; a mirrored stopper
+    # pairs bag b with the leaf-flipped tree of bag b - B//2, so each pair
+    # casts exactly one STOP vote and ties at half come up on every row
+    trees = [data.draw(random_tree(n_features)) for _ in range(bags)]
+    if mirrored:
+        for b in range(bags // 2, 2 * (bags // 2)):
+            t = trees[b - bags // 2]
+            trees[b] = CartTree(t.feature, t.threshold, t.left, t.right,
+                                np.where(t.feature < 0, 1 - t.leaf_weight, 0), n_features)
+    stopper = BaggedStopper([[tree] for tree in trees], "raw", RewardSpec("put", 0.05, 100.0, 1.0, 1))
+    x = np.array(data.draw(st.lists(st.lists(THRESHOLDS | st.floats(-4.0, 4.0),
+                                             min_size=n_features, max_size=n_features),
+                                    max_size=40)), dtype=float).reshape(-1, n_features)
+    own = np.array(data.draw(st.lists(st.integers(0, bags - 1), min_size=len(x),
+                                      max_size=len(x))), dtype=np.int64)
+    for rows in (x, x[:0], x[:1]):
+        for feats in (np.ascontiguousarray(rows), np.asfortranarray(rows)):
+            preds = np.array([tree.predict(feats) for tree in trees]).reshape(bags, len(feats))
+            assert_votes_like_trees(stopper, 0, feats, preds, own[:len(feats)])
+            if mirrored:
+                assert np.all(preds.sum(axis=0) >= bags // 2)
+                if bags % 2 == 0:
+                    assert stopper.stops(0, feats).all()  # every row ties at B/2
+                else:
+                    assert stopper.stops(0, feats, np.full(len(feats), bags - 1)).all()
+    assert stopper.interval_table(0) is None
 
 
 def test_chunked_apply_predicts_each_tree_once_per_step(monkeypatch):
@@ -347,37 +391,53 @@ def bag_vote_stopper(stopping_bags, bags, n_features):
     return BaggedStopper(trees, "raw", RewardSpec("put", 0.05, 100.0, 1.0, 1))
 
 
+def all_tree_votes(stopper, x):
+    """(B, K) votes of every bag's step-0 tree, for ``bag_majority``."""
+    return np.array([row[0].predict(x) for row in stopper.trees])
+
+
 def test_leave_one_out_mask_ignores_own_tree():
-    # flipping the tree of a row's own bag moves the all-bag count of every
-    # row but leaves that row's leave-one-out count alone
+    # flipping the tree of a row's own bag moves the all-bag vote of every
+    # row (5 of 10 STOP becomes 4 or 6) but leaves that row's leave-one-out
+    # vote alone
     own = np.array([0, 7, 4, 9])
     for n_features in (1, 2):
         x = np.linspace(-1.0, 1.0, 4 * n_features).reshape(4, n_features)
         base = bag_vote_stopper(5, 10, n_features)
-        np.testing.assert_array_equal(base.stop_votes(0, x), [5, 5, 5, 5])
+        np.testing.assert_array_equal(base.stops(0, x), [True] * 4)
+        np.testing.assert_array_equal(base.stops(0, x), bag_majority(all_tree_votes(base, x)))
         assert (base.interval_table(0) is None) == (n_features > 1)
-        loo = base.stop_votes(0, x, own)
-        np.testing.assert_array_equal(loo, [4, 5, 4, 5])
+        loo = base.stops(0, x, own)
+        # 4 of the other 9 where the own bag stops, 5 of 9 where it continues
+        np.testing.assert_array_equal(loo, [False, True, False, True])
+        np.testing.assert_array_equal(loo, bag_majority(all_tree_votes(base, x), own))
         for k, b in enumerate(own):
             flipped = bag_vote_stopper(5, 10, n_features)
             flipped.trees[b][0] = constant_tree(int(b >= 5), n_features)
-            assert flipped.stop_votes(0, x)[k] == 5 + (1 if b >= 5 else -1)
-            assert flipped.stop_votes(0, x, own)[k] == loo[k]
+            preds = all_tree_votes(flipped, x)
+            assert preds[:, k].sum() == 5 + (1 if b >= 5 else -1)
+            assert flipped.stops(0, x)[k] == (b >= 5)
+            np.testing.assert_array_equal(flipped.stops(0, x), bag_majority(preds))
+            assert flipped.stops(0, x, own)[k] == loo[k]
+            np.testing.assert_array_equal(flipped.stops(0, x, own), bag_majority(preds, own))
 
 
 def test_loo_threshold_is_half_of_remaining_bags():
     # 10 bags, 5 of them STOP: the full vote stops (5 of 10), and a row's
-    # leave-one-out count is 5 of the other 9 when its bag continues but 4 of
+    # leave-one-out vote is 5 of the other 9 when its bag continues but 4 of
     # 9 when its bag stops; the integer counts make the 4.5 cut exact
     own = np.array([5, 0])
     for n_features in (1, 2):
         x = np.zeros((2, n_features))
         stopper = bag_vote_stopper(5, 10, n_features)
-        loo = stopper.stop_votes(0, x, own)
-        assert loo.dtype == np.int32
-        np.testing.assert_array_equal(loo, [5, 4])
-        np.testing.assert_array_equal(loo * 2 >= 10 - 1, [True, False])
+        preds = all_tree_votes(stopper, x)
+        np.testing.assert_array_equal(preds.sum(axis=0) - preds[own, [0, 1]], [5, 4])
+        loo = stopper.stops(0, x, own)
+        assert loo.dtype == bool
+        np.testing.assert_array_equal(loo, [True, False])
+        np.testing.assert_array_equal(loo, bag_majority(preds, own))
         np.testing.assert_array_equal(stopper.step_rule(0, x), [True, True])
+        np.testing.assert_array_equal(stopper.step_rule(0, x), bag_majority(preds))
 
 
 def test_reward_augmented_features_reproduce_published_max_call():
