@@ -26,7 +26,6 @@ from treestop.valuation import (
     ls_fit,
     ls_forward,
     ls_value,
-    max_rewards,
     oracle_bruteforce,
     oracle_enumerate,
     stopped_values,
@@ -58,7 +57,6 @@ __all__ = [
     "ValuationReport",
     "BoundaryScatter",
     "value_of_rule",
-    "max_rewards",
     "v_max",
     "LsRule",
     "ls_fit",

@@ -17,6 +17,7 @@ config are byte-identical (benchmark wall-time columns excepted).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -38,7 +39,6 @@ from treestop.valuation import (
     ls_forward,
     ls_value,
     make_markov_instance,
-    max_rewards,
     oracle_bruteforce,
     oracle_enumerate,
     stopped_values,
@@ -144,16 +144,17 @@ def _value_pass(cfg: ExperimentConfig, label: str, stopper: BaggedStopper,
     """Simulate the ``label`` ensemble chunk by chunk and value each chunk as it comes.
 
     Each chunk is applied to, then ``per_path[name](chunk, chunk_result)`` gives
-    that chunk's rows of the per-path vector ``name``.  Every per-path output is
-    allocated at length K before the first chunk, so an impossible K fails at
-    once, and is filled at the chunk's offset; reductions over the filled
-    vectors give the bytes of a whole-ensemble run.  Returns the stop result of
-    the whole ensemble and the filled vectors by name.
+    that chunk's rows of the per-path vector ``name``.  Those vectors and the
+    stop result's are allocated at length K before the first chunk, so an
+    impossible K fails at once, and are filled at the chunk's offset;
+    reductions over them give the bytes of a whole-ensemble run.  Returns the
+    whole ensemble's stop result and the filled per-path vectors by name.
     """
     per_path = per_path or {}
     K = cfg.num_paths(label)
     stop_step = np.empty(K, dtype=np.int64)
     realized = np.empty(K)
+    best = np.empty(K)
     filled = {name: np.empty(K) for name in per_path}
     start = 0
     for chunk in cfg.ensemble_chunks(label):
@@ -161,11 +162,12 @@ def _value_pass(cfg: ExperimentConfig, label: str, stopper: BaggedStopper,
         res = apply(stopper, chunk)
         stop_step[rows] = res.stop_step
         realized[rows] = res.realized
+        best[rows] = res.best
         for name, of_chunk in per_path.items():
             filled[name][rows] = of_chunk(chunk, res)
         start = rows.stop
         del chunk  # free these paths before the next chunk is simulated
-    return replace(res, stop_step=stop_step, realized=realized), filled
+    return replace(res, stop_step=stop_step, realized=realized, best=best), filled
 
 
 def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = True,
@@ -234,7 +236,6 @@ def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = T
     if value:
         stopper_hash = stopper.content_hash()
         reports.append(value_of_rule(_value_pass(cfg, TRAIN_LABEL, stopper)[0], stopper_hash))
-        per_path[VMAX] = lambda chunk, _: max_rewards(chunk, reward_spec)
     if with_ls:
         per_path[LS_TEST] = lambda chunk, _: ls_forward(ls_rule, chunk, reward_spec)
     if boundary:
@@ -242,7 +243,7 @@ def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = T
     res_test, filled = _value_pass(cfg, TEST_LABEL, stopper, per_path)
     if value:
         reports.append(value_of_rule(res_test, stopper_hash))
-        reports.append(v_max(filled[VMAX], res_test.ensemble_seed))
+        reports.append(v_max(res_test.best, res_test.ensemble_seed))
         if with_ls:
             reports.extend(ls_value(ls_rule, filled[LS_TEST], res_test.ensemble_seed))
         _write_valuation_csv(os.path.join(cfg.out, "valuation.csv"), cfg, reports)
@@ -308,8 +309,8 @@ def run_benchmark(suite: str, scale: float, out_path: str) -> None:
 
     Row i is a ``run_experiment`` run with out = ``<out_path>.runs/<i>``.
     """
-    if scale <= 0:
-        raise ConfigError("scale must be positive")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ConfigError(f"scale must be a positive finite number, got {scale!r}")
     rows = benchmark_grid(suite)
     with open(out_path, "w") as fh:
         fh.write(f"# suite={suite} scale={_fmt(scale)}\n")

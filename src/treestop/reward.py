@@ -14,6 +14,7 @@ followed by the running knock-out indicator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -26,6 +27,8 @@ RAW = "raw"
 RAW_PLUS_REWARD = "raw_plus_reward"
 FOUR_FEATURES = "four_features"
 FEATURE_MODES = (RAW, RAW_PLUS_REWARD, FOUR_FEATURES)
+# the column of ``features`` that holds u(n, x); raw features hold no reward
+REWARD_COLUMN = {RAW_PLUS_REWARD: -1, FOUR_FEATURES: 0}
 
 
 @dataclass(frozen=True)
@@ -33,7 +36,8 @@ class RewardSpec:
     """Declarative payoff description.
 
     rate and strike are per-unit-time and price-level parameters shared by
-    all kinds; ``barrier`` is only meaningful for the knock-out kind.
+    all kinds; ``barrier`` is only meaningful for the knock-out kind.  Every
+    one of them, and the maturity, must be finite.
     """
 
     kind: str
@@ -46,6 +50,10 @@ class RewardSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown reward kind {self.kind!r}")
+        for name in ("rate", "strike", "maturity", "barrier"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.strike <= 0:
             raise ValueError("strike must be positive")
         if self.maturity <= 0 or self.steps < 1:

@@ -22,7 +22,8 @@ import numpy as np
 
 from treestop.cart import CartTree, GrowConfig, grow, removal
 from treestop.ensemble import PathEnsemble
-from treestop.reward import FEATURE_MODES, FOUR_FEATURES, RAW, RewardSpec, features, reward
+from treestop.reward import (FEATURE_MODES, MAX_CALL_BARRIER, PUT, REWARD_COLUMN, RewardSpec,
+                             features, reward)
 
 
 @dataclass(frozen=True)
@@ -60,10 +61,10 @@ class IntervalTable(NamedTuple):
 class BaggedStopper:
     """B x N array of trees plus the majority projector.
 
-    trees[b][n] votes STOP/CONTINUE for step n, and ``stops`` takes a step's
-    majority vote.  The estimated per-step rule ``step_rule`` is g_n(x) =
-    1{ mean_b trees[b][n](features(n, x)) >= 1/2 } for n < N and the constant
-    STOP at n = N.  Stopping a path means taking the first step whose rule fires.
+    trees[b][n] votes STOP/CONTINUE for step n.  ``stops`` is the estimated
+    per-step rule g_n(x) = 1{ mean_b trees[b][n](features(n, x)) >= 1/2 } for
+    n < N; at n = N every path stops.  Stopping a path means taking the first
+    step whose rule fires.
 
     When a step's trees read one feature, its first vote builds the step's
     ``IntervalTable`` and every later vote of that step looks rows up in it.
@@ -126,12 +127,6 @@ class BaggedStopper:
                 to_come = self.bags - 1 - b - (0 if own is None else own.take(rows) > b)
                 rows = rows.compress((seen < need) & (seen + to_come >= need))
         return count >= need
-
-    def step_rule(self, n: int, feats: np.ndarray) -> np.ndarray:
-        """Boolean g_n over feature rows (full-bag average projected at 1/2)."""
-        if n >= self.reward_spec.steps:
-            return np.ones(feats.shape[0], dtype=bool)
-        return self.stops(n, feats)
 
     def serialize(self) -> str:
         lines = [
@@ -204,12 +199,14 @@ def reward_hash(spec: RewardSpec) -> str:
 class StopResult:
     """Realized stopping of one ensemble under a composed rule.
 
-    stop_step[k] is in 0..N and realized[k] the discounted reward collected at
-    that step; the other fields are the ensemble's provenance.
+    stop_step[k] is in 0..N, realized[k] the discounted reward collected at
+    that step and best[k] the path's largest discounted reward over 0..N, so
+    realized <= best; the other fields are the ensemble's provenance.
     """
 
     stop_step: np.ndarray
     realized: np.ndarray
+    best: np.ndarray
     label: str
     ensemble_seed: int
     num_steps: int
@@ -219,9 +216,9 @@ def check_compat(paths: PathEnsemble, spec: RewardSpec, feature_mode: str) -> in
     """Reject an ensemble the spec and feature mode cannot read; return the feature width."""
     if paths.num_steps != spec.steps:
         raise ValueError("reward spec and ensemble disagree on the step count")
-    if spec.kind == "put" and paths.dim != 1:
+    if spec.kind == PUT and paths.dim != 1:
         raise ValueError("put reward needs one-dimensional paths")
-    if spec.kind == "max_call_barrier" and not paths.has_barrier_indicator:
+    if spec.kind == MAX_CALL_BARRIER and not paths.has_barrier_indicator:
         raise ValueError("knock-out reward needs the barrier indicator coordinate")
     # raises on impossible feature/state combinations
     return features(feature_mode, spec, 0, paths.state_at(0)[:1]).shape[1]
@@ -255,13 +252,14 @@ def train(paths: PathEnsemble, reward_spec: RewardSpec, config: TrainConfig) -> 
     # continuation stop is carried along instead of materialising a K x (N+1)
     # matrix.
     u_at_tau = reward(reward_spec, N, paths.state_at(N))[order]
+    column = REWARD_COLUMN.get(config.feature_mode)  # None: the features hold no reward
     stopper = BaggedStopper([[None] * N for _ in range(B)], config.feature_mode, reward_spec)
 
     for n in range(N - 1, -1, -1):
         feats_n = features(config.feature_mode, reward_spec, n, paths.state_at(n))[order]
         feats_n = np.asfortranarray(feats_n)  # contiguous split columns for the LOO vote
-        u_n = (reward(reward_spec, n, paths.state_at(n))[order] if config.feature_mode == RAW
-               else feats_n[:, 0 if config.feature_mode == FOUR_FEATURES else -1])  # reward column
+        u_n = (reward(reward_spec, n, paths.state_at(n))[order] if column is None
+               else feats_n[:, column])
         for b, rows in enumerate(bags):
             samples = removal(feats_n[rows], (u_at_tau[rows] - u_n[rows]) / K)
             stopper.trees[b][n] = grow(samples, config.grow)
@@ -272,35 +270,35 @@ def train(paths: PathEnsemble, reward_spec: RewardSpec, config: TrainConfig) -> 
     return stopper
 
 
-def first_hit(paths: PathEnsemble, spec: RewardSpec, fires) -> tuple[np.ndarray, np.ndarray]:
+def first_hit(paths: PathEnsemble, spec: RewardSpec, fires) -> tuple[np.ndarray, ...]:
     """Replay a first-hit stopping rule on an ensemble.
 
     ``fires(n, states)`` gets the step-n states of the paths still running, in
     path order, and returns a boolean mask of those that stop at n < N; the
-    rest stop at N.  Returns the (K,) stop steps and the discounted rewards
-    collected there.  Paths are independent, so replaying path chunks gives
-    the rows of replaying the whole ensemble.  Raises ValueError when the
-    ensemble and ``spec`` disagree on the step count.
+    rest stop at N.  Returns the (K,) stop steps, the discounted rewards
+    collected there and each path's largest discounted reward over 0..N; each
+    step's rewards are computed once, on every path, after the step's vote.
+    Paths are independent, so replaying path chunks gives the rows of
+    replaying the whole ensemble.  Raises ValueError when the ensemble and
+    ``spec`` disagree on the step count.
     """
     if paths.num_steps != spec.steps:
         raise ValueError("ensemble and reward spec disagree on the step count")
     K, N = paths.num_paths, paths.num_steps
-    stop_step = np.full(K, N, dtype=np.int64)
+    stop_step = np.empty(K, dtype=np.int64)
     realized = np.empty(K)
+    best = np.full(K, -np.inf)
     alive = np.arange(K)
-    for n in range(N):
-        if alive.size == 0:
-            break
-        states = paths.state_at(n)[alive]
-        fire = fires(n, states)
-        if fire.any():
-            hit = alive[fire]
-            stop_step[hit] = n
-            realized[hit] = reward(spec, n, states[fire])
-            alive = alive[~fire]
-    if alive.size:
-        realized[alive] = reward(spec, N, paths.state_at(N)[alive])
-    return stop_step, realized
+    for n in range(N + 1):
+        hit = alive
+        if n < N and alive.size:
+            fire = fires(n, paths.state_at(n)[alive])
+            hit, alive = alive[fire], alive[~fire]
+        u = reward(spec, n, paths.state_at(n))
+        stop_step[hit] = n
+        realized[hit] = u[hit]
+        np.maximum(best, u, out=best)
+    return stop_step, realized, best
 
 
 def apply(stopper: BaggedStopper, paths: PathEnsemble) -> StopResult:
@@ -314,7 +312,6 @@ def apply(stopper: BaggedStopper, paths: PathEnsemble) -> StopResult:
         raise ValueError("feature dimension does not match the trained trees")
 
     def fires(n, states):
-        return stopper.step_rule(n, features(stopper.feature_mode, spec, n, states))
+        return stopper.stops(n, features(stopper.feature_mode, spec, n, states))
 
-    stop_step, realized = first_hit(paths, spec, fires)
-    return StopResult(stop_step, realized, paths.label, paths.seed, paths.num_steps)
+    return StopResult(*first_hit(paths, spec, fires), paths.label, paths.seed, paths.num_steps)

@@ -1,17 +1,17 @@
 """Lower bounds, reference values, and stopping-boundary extraction.
 
 ``value_of_rule`` turns realized stopping results into ensemble-average lower
-bounds with standard errors.  ``max_rewards`` gives each path's maximal
-reward and ``v_max`` their mean, the anticipating upper reference.
-``ls_fit`` fits a least-squares regression baseline for the one-dimensional
-put, ``ls_forward`` replays it through ``stopper.first_hit`` and ``ls_value``
-reports both values.  The per-path functions (``max_rewards``, ``ls_forward``,
-``stopped_values``) work on any path chunk of an ensemble; every report is
-taken over the assembled per-path vector, so a chunked run reports the same
-bytes as a whole one.  ``oracle_enumerate`` and ``oracle_bruteforce`` solve
-tiny discrete instances exactly, the former by backward induction in exact
-rational arithmetic, the latter by enumerating every per-state {0,1}
-assignment.
+bounds with standard errors, and ``v_max`` averages each path's maximal
+reward (``StopResult.best``, from the same ``stopper.first_hit`` replay) into
+the anticipating upper reference.  ``ls_fit`` fits a least-squares regression
+baseline for the one-dimensional put, ``ls_forward`` replays it through
+``first_hit`` and ``ls_value`` reports both values.  The per-path functions
+(``ls_forward``, ``stopped_values``) work on any path chunk of an ensemble;
+every report is taken over the assembled per-path vector, so a chunked run
+reports the same bytes as a whole one.  ``oracle_enumerate`` and
+``oracle_bruteforce`` solve tiny discrete instances exactly, the former by
+backward induction in exact rational arithmetic, the latter by enumerating
+every per-state {0,1} assignment.
 """
 
 from __future__ import annotations
@@ -66,16 +66,8 @@ def value_of_rule(result: StopResult, stopper_hash: str | None = None) -> Valuat
     return ValuationReport(kind, m, se, result.ensemble_seed, stopper_hash)
 
 
-def max_rewards(paths: PathEnsemble, spec: RewardSpec) -> np.ndarray:
-    """Per-path maximal reward over steps 0..N: the perfect-foresight stop."""
-    best = reward(spec, 0, paths.state_at(0))
-    for n in range(1, paths.num_steps + 1):
-        np.maximum(best, reward(spec, n, paths.state_at(n)), out=best)
-    return best
-
-
 def v_max(best: np.ndarray, seed: int | None = None) -> ValuationReport:
-    """Anticipating upper reference: the mean of the per-path ``max_rewards``."""
+    """Anticipating upper reference: the mean of the per-path maxima ``StopResult.best``."""
     m, se = _mean_se(best)
     return ValuationReport(VMAX, m, se, seed)
 

@@ -242,6 +242,12 @@ def reference_reward(spec, n, states):
     return disc * np.maximum(states[:, :-1].max(axis=1) - spec.strike, 0.0) * states[:, -1]
 
 
+def reference_max_rewards(spec, paths):
+    """Each path's largest ``reference_reward`` over steps 0..N."""
+    return np.stack([reference_reward(spec, n, paths.state_at(n))
+                     for n in range(paths.num_steps + 1)]).max(axis=0)
+
+
 def reference_four_features(spec, n, states):
     """(u, m1, m2, m1 - m2) per row, the top two assets by ``np.partition``."""
     assets = states[:, :-1] if spec.kind == "max_call_barrier" else states

@@ -342,6 +342,7 @@ def test_bad_theoretical_file_fails_before_simulating(tmp_path, capsys, monkeypa
 
 
 MAX_CALL_3 = ["kind=max_call", "dim=3", "mu=-0.05", "maturity=3", "steps=9", "bags=2"]
+KNOCK_OUT_3 = ["kind=max_call_barrier", "dim=3", "feature_mode=four_features", "steps=9"]
 
 
 def overrides(settings):
@@ -358,8 +359,17 @@ def overrides(settings):
     ("train", ["dim=2"], "put reward needs one-dimensional paths"),
     ("evaluate", [*MAX_CALL_3, "with_ls=true"],
      "regression baseline is scoped to the one-dimensional put"),
+    ("train", ["rate=nan"], "rate must be finite"),
+    ("train", ["rate=inf"], "rate must be finite"),
+    ("train", ["rate=-inf"], "rate must be finite"),
+    ("train", ["strike=nan"], "strike must be finite"),
+    ("train", ["strike=inf"], "strike must be finite"),
+    ("train", ["maturity=nan"], "maturity must be finite"),
+    ("train", [*KNOCK_OUT_3, "barrier=nan"], "barrier must be finite"),
+    ("train", [*KNOCK_OUT_3, "barrier=inf"], "barrier must be finite"),
 ], ids=["splitter", "bags", "max_depth", "min_node_size", "feature_mode",
-        "four_features_put", "put_dim", "ls_scope"])
+        "four_features_put", "put_dim", "ls_scope", "rate_nan", "rate_inf", "rate_minus_inf",
+        "strike_nan", "strike_inf", "maturity_nan", "barrier_nan", "barrier_inf"])
 def test_bad_config_fails_before_simulating(tmp_path, capsys, monkeypatch, command,
                                             settings, message):
     common = ["--set", "k_train=2000000", "--set", "k_test=2000", "--out", str(tmp_path)]
@@ -377,6 +387,8 @@ def test_bad_config_fails_before_simulating(tmp_path, capsys, monkeypatch, comma
     assert main([command, *common, *overrides(settings)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    if command == "train":
+        assert not (tmp_path / "config_resolved.cfg").exists()
 
 
 @pytest.mark.parametrize("command, settings, field", [
@@ -610,6 +622,15 @@ def test_barrier_grid():
     rows = benchmark_grid("barrier")
     assert len(rows) == 9
     assert all(c.barrier == 170.0 and c.steps == 53 for c in rows)
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
+def test_benchmark_scale_must_be_positive_and_finite(tmp_path, capsys, scale):
+    out = tmp_path / "bench.csv"
+    assert main(["benchmark", "put", "--scale", scale, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scale must be a positive finite number")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("suite, rows, first_dim, reference, with_ls", [

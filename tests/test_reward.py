@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treestop.reward import RewardSpec, features, reward
+from treestop.reward import REWARD_COLUMN, RewardSpec, features, reward
 
 from oracles import reference_four_features, reference_reward
 
@@ -101,6 +101,24 @@ def test_feature_dims():
 def test_four_features_needs_two_assets():
     with pytest.raises(ValueError):
         features("four_features", PUT50, 0, one([85.0]))
+
+
+PUT_ROWS = [[85.0], [120.0]]
+CALL_ROWS = [[110.0, 90.0, 130.0], [80.0, 95.0, 70.0]]
+BARRIER_ROWS = [[150.0, 120.0, 1.0], [150.0, 120.0, 0.0]]
+
+
+@pytest.mark.parametrize("mode, spec, states", [
+    ("raw_plus_reward", PUT50, PUT_ROWS),
+    ("raw_plus_reward", CALL9, CALL_ROWS),
+    ("raw_plus_reward", BARRIER53, BARRIER_ROWS),
+    ("four_features", CALL9, CALL_ROWS),
+    ("four_features", BARRIER53, BARRIER_ROWS),
+])
+def test_reward_column_holds_the_reward(mode, spec, states):
+    states = np.array(states)
+    column = features(mode, spec, 3, states)[:, REWARD_COLUMN[mode]]
+    assert column.tobytes() == reward(spec, 3, states).tobytes()
 
 
 def test_spec_validation():

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treestop import ensemble
 from treestop.cart import CartTree, GrowConfig
-from treestop.ensemble import GbmSpec, generate_gbm
+from treestop.ensemble import GbmSpec, gbm_chunks, generate_gbm
 from treestop.reward import RewardSpec, features, reward
 from treestop.stopper import (
     BaggedStopper,
@@ -17,7 +18,12 @@ from treestop.stopper import (
     train,
 )
 
-from oracles import constant_tree, deterministic_best_stop
+from oracles import (
+    constant_tree,
+    deterministic_best_stop,
+    reference_max_rewards,
+    reference_reward,
+)
 
 
 def constant_stopper(weight, bags, steps, spec, feature_mode="raw", n_features=1):
@@ -83,7 +89,7 @@ def test_first_hit_consistency_and_decomposition():
     g = np.zeros((paths.num_paths, N + 1), dtype=int)
     for n in range(N):
         feats = features("raw", PUT4, n, paths.state_at(n))
-        g[:, n] = stopper.step_rule(n, feats)
+        g[:, n] = stopper.stops(n, feats)
     g[:, N] = 1
     # first-hit: no earlier firing, and the rule fires at the stop step
     for k in range(paths.num_paths):
@@ -113,13 +119,12 @@ def bag_majority(preds, own=None):
 
 
 def assert_votes_like_trees(stopper, n, feats, preds, own):
-    """``stops`` and ``step_rule`` give the majority of the (B, K) per-tree ``preds``."""
+    """``stops`` gives the majority of the (B, K) per-tree ``preds``."""
     full = stopper.stops(n, feats)
     assert full.dtype == bool and full.shape == (feats.shape[0],)
     np.testing.assert_array_equal(full, bag_majority(preds))
     np.testing.assert_array_equal(full, preds.sum(axis=0) * 2 >= preds.shape[0])
     np.testing.assert_array_equal(stopper.stops(n, feats, own), bag_majority(preds, own))
-    np.testing.assert_array_equal(stopper.step_rule(n, feats), full)
 
 
 @pytest.mark.parametrize("bags", [3, 4])
@@ -261,6 +266,42 @@ def test_chunked_apply_predicts_each_tree_once_per_step(monkeypatch):
         fresh = apply(BaggedStopper.parse(dump, PUT4), chunk)
         np.testing.assert_array_equal(res.stop_step, fresh.stop_step)
         np.testing.assert_array_equal(res.realized, fresh.realized)
+
+
+@pytest.mark.parametrize("chunk_paths", [None, 7])
+@pytest.mark.parametrize("kind, dim, strike, barrier", [
+    ("put", 1, 110.0, None),
+    ("max_call", 3, 90.0, None),
+    ("max_call_barrier", 3, 90.0, 130.0),
+])
+def test_first_hit_collects_the_reference_reward_and_path_maximum(monkeypatch, kind, dim, strike,
+                                                                  barrier, chunk_paths):
+    # the replay's three vectors against the oracles, byte for byte, on a
+    # whole ensemble or on gbm_chunks of 7 paths (the last one ragged); the
+    # strike pays at step 0, so a maximum that skips step 0 is caught too
+    steps, num_paths = 6, 40
+    gbm = GbmSpec.symmetric(dim, 100.0, 0.05, 0.3, 1.0, steps)
+    spec = RewardSpec(kind, 0.05, strike, 1.0, steps, barrier)
+
+    def fires(n, states):  # an arbitrary rule of the state, about a third of the rows
+        return (states[:, 0] * 10).astype(int) % 3 == 0
+
+    paths = generate_gbm(gbm, num_paths, 8, "test", barrier)
+    if chunk_paths is not None:
+        monkeypatch.setattr(ensemble, "CHUNK_BYTES",
+                            chunk_paths * 8 * (steps + 1) * (dim + (barrier is not None)))
+    chunks = list(gbm_chunks(gbm, num_paths, 8, "test", barrier))
+    assert len(chunks) == (1 if chunk_paths is None else 6)
+    stop_step, realized, best = (np.concatenate(v) for v in
+                                 zip(*(first_hit(c, spec, fires) for c in chunks)))
+
+    fired = np.stack([fires(n, paths.state_at(n)) for n in range(steps)] + [[True] * num_paths])
+    rewards = np.stack([reference_reward(spec, n, paths.state_at(n)) for n in range(steps + 1)])
+    np.testing.assert_array_equal(stop_step, fired.argmax(axis=0))
+    assert realized.tobytes() == rewards[stop_step, np.arange(num_paths)].tobytes()
+    assert best.tobytes() == reference_max_rewards(spec, paths).tobytes()
+    assert (realized <= best).all()
+    assert (0 < stop_step).any() and (stop_step < steps).any()
 
 
 def test_apply_rejects_mismatched_ensembles():
@@ -436,8 +477,8 @@ def test_loo_threshold_is_half_of_remaining_bags():
         assert loo.dtype == bool
         np.testing.assert_array_equal(loo, [True, False])
         np.testing.assert_array_equal(loo, bag_majority(preds, own))
-        np.testing.assert_array_equal(stopper.step_rule(0, x), [True, True])
-        np.testing.assert_array_equal(stopper.step_rule(0, x), bag_majority(preds))
+        np.testing.assert_array_equal(stopper.stops(0, x), [True, True])
+        np.testing.assert_array_equal(stopper.stops(0, x), bag_majority(preds))
 
 
 def test_reward_augmented_features_reproduce_published_max_call():

@@ -6,14 +6,13 @@ from treestop.cart import GrowConfig
 from treestop.config import ExperimentConfig
 from treestop.ensemble import GbmSpec, PathEnsemble, generate_gbm
 from treestop.reward import RewardSpec, reward
-from treestop.stopper import BaggedStopper, StopResult, TrainConfig, apply, train
+from treestop.stopper import BaggedStopper, StopResult, TrainConfig, apply, first_hit, train
 from treestop.valuation import (
     extract_boundary,
     ls_fit,
     ls_forward,
     ls_value,
     make_markov_instance,
-    max_rewards,
     oracle_bruteforce,
     oracle_enumerate,
     stopped_values,
@@ -27,6 +26,7 @@ from oracles import (
     european_report,
     european_value,
     reference_ls_forward,
+    reference_max_rewards,
 )
 
 PUT4 = RewardSpec("put", 0.05, 100.0, 1.0, 4)
@@ -58,13 +58,20 @@ def test_value_kind_follows_label():
     assert rep.kind == "v_train"
 
 
+def path_maxima(paths, spec):
+    """``first_hit``'s per-path maxima, replaying a rule that never fires."""
+    return first_hit(paths, spec, lambda n, states: np.zeros(states.shape[0], dtype=bool))[2]
+
+
 def test_v_max_dominates_any_rule():
     spec = GbmSpec.symmetric(1, 100.0, 0.05, 0.3, 1.0, 4)
     paths = generate_gbm(spec, 400, seed=5, label="test")
-    upper = v_max(max_rewards(paths, PUT4))
+    upper = v_max(path_maxima(paths, PUT4))
     cfg = TrainConfig(4, GrowConfig(max_depth=3), "raw", 3)
     trained = train(generate_gbm(spec, 400, seed=6), PUT4, cfg)
-    rep = value_of_rule(apply(trained, paths))
+    res = apply(trained, paths)
+    assert v_max(res.best) == upper  # the path maxima do not depend on the rule
+    rep = value_of_rule(res)
     assert rep.value < upper.value  # non-anticipating rules lose a real margin
     for weight in (0, 1):
         rep_const = value_of_rule(apply(constant_stopper(weight, 2, 4, PUT4), paths))
@@ -76,13 +83,13 @@ def test_v_max_single_deterministic_path():
     paths = generate_gbm(spec, 1, seed=1)
     rspec = RewardSpec("put", 1.0, 100.0, 1.0, 20)
     rewards = [reward(rspec, n, paths.state_at(n)[:1])[0] for n in range(21)]
-    assert v_max(max_rewards(paths, rspec)).value == pytest.approx(max(rewards), rel=1e-12)
+    assert v_max(path_maxima(paths, rspec)).value == pytest.approx(max(rewards), rel=1e-12)
 
 
 def test_se_shrinks_with_root_k():
     spec = GbmSpec.symmetric(1, 100.0, 0.05, 0.2, 1.0, 4)
-    small = v_max(max_rewards(generate_gbm(spec, 2000, seed=9), PUT4))
-    large = v_max(max_rewards(generate_gbm(spec, 32000, seed=9), PUT4))
+    small = v_max(path_maxima(generate_gbm(spec, 2000, seed=9), PUT4))
+    large = v_max(path_maxima(generate_gbm(spec, 32000, seed=9), PUT4))
     assert large.se == pytest.approx(small.se / 4.0, rel=0.25)
 
 
@@ -259,7 +266,8 @@ def make_result(stop_step, paths, spec):
         reward(spec, n, paths.state_at(n)[k:k + 1])[0]
         for k, n in enumerate(stop_step)
     ])
-    return StopResult(stop_step, realized, paths.label, paths.seed, paths.num_steps)
+    return StopResult(stop_step, realized, reference_max_rewards(spec, paths), paths.label,
+                      paths.seed, paths.num_steps)
 
 
 def test_boundary_empty_when_all_terminal():
