@@ -8,15 +8,7 @@ bounds on the optimal expected reward.
 
 from treestop.ensemble import GbmSpec, PathEnsemble, gbm_chunks, generate_gbm
 from treestop.reward import RewardSpec, features, reward
-from treestop.cart import (
-    CartTree,
-    DeltaSamples,
-    GrowConfig,
-    Leaf,
-    Split,
-    grow,
-    removal,
-)
+from treestop.cart import CartTree, DeltaSamples, GrowConfig, grow, removal
 from treestop.stopper import BaggedStopper, StopResult, TrainConfig, apply, first_hit, train
 from treestop.valuation import (
     BoundaryScatter,
@@ -44,8 +36,6 @@ __all__ = [
     "DeltaSamples",
     "CartTree",
     "GrowConfig",
-    "Split",
-    "Leaf",
     "removal",
     "grow",
     "TrainConfig",

@@ -26,7 +26,7 @@ filtered to the merged rows, become the samples' per-dim ``orders`` that
 One routing rule serves training and prediction: a split node sends x to its
 left child iff x[dim] <= threshold.  ``grow`` partitions a node's samples by
 that test and ``CartTree.predict`` routes query rows by it; thresholds are the
-left boundary sample value itself.  Leaf weight 1 means STOP, 0 CONTINUE.
+left boundary sample value itself.  A leaf weight of 1 means STOP, 0 CONTINUE.
 """
 
 from __future__ import annotations
@@ -135,37 +135,14 @@ def removal(points, deltas) -> DeltaSamples:
                         tuple(merged[o[keep[o]]] for o in orders))
 
 
-@dataclass(frozen=True)
-class Split:
-    dim: int
-    threshold: float
-
-
-@dataclass(frozen=True)
-class Leaf:
-    weight: int
-
-    def __post_init__(self):
-        if self.weight not in (0, 1):
-            raise ValueError("leaf weight must be 0 or 1")
-
-
-def _leaf_for(total: float) -> Leaf:
-    # Nodes with an exactly-zero total arise only when every sample carries a
-    # zero increment (continuation and immediate reward both worthless on the
-    # ensemble).  Stopping there realizes nothing in sample and generalizes
-    # worse out of sample, so such nodes are left running.
-    return Leaf(0 if total >= 0 else 1)
-
-
 def _decide(points: np.ndarray, weight: np.ndarray, orders, total: float,
-            prototype: bool) -> Split | Leaf:
-    """Leaf-or-split decision for one node: the split rule of both splitters.
+            prototype: bool) -> tuple[int, float] | None:
+    """The ``(dim, threshold)`` one node splits at, or None when it stays a leaf.
 
-    ``orders`` holds, per dim, the node's row indices sorted by (coordinate,
-    original sample index); ``total`` is the node's weight sum (accumulated in
-    original sample order, so decisions are reproducible bit for bit).  A
-    single row is a leaf.
+    This is the split rule of both splitters.  ``orders`` holds, per dim, the
+    node's row indices sorted by (coordinate, original sample index);
+    ``total`` is the node's weight sum (accumulated in original sample order,
+    so decisions are reproducible bit for bit).  A single row is a leaf.
 
     Positions are valid only where consecutive sorted coordinates strictly
     increase, so the emitted <=-threshold reproduces the sorted partition.
@@ -175,7 +152,7 @@ def _decide(points: np.ndarray, weight: np.ndarray, orders, total: float,
     score strictly exceeds |total|; the prototype splitter always splits.
     """
     if orders[0].shape[0] == 1:
-        return _leaf_for(total)
+        return None
     best = None
     for d, order in enumerate(orders):
         vals = points[order, d]
@@ -186,14 +163,12 @@ def _decide(points: np.ndarray, weight: np.ndarray, orders, total: float,
         scores[vals[:-1] >= vals[1:]] = -np.inf
         k = int(np.argmax(scores))
         if best is None or scores[k] > best[0]:
-            best = (float(scores[k]), Split(d, float(vals[k])))
-    if best is None:
-        if prototype:
-            raise RuntimeError("no valid split position: points not distinct")
-        return _leaf_for(total)
-    if not prototype and best[0] <= abs(total):
-        return _leaf_for(total)
-    return best[1]
+            best = (float(scores[k]), d, float(vals[k]))
+    if best is None and prototype:
+        raise RuntimeError("no valid split position: points not distinct")
+    if best is None or (not prototype and best[0] <= abs(total)):
+        return None
+    return best[1:]
 
 
 DELTA = "delta"
@@ -345,10 +320,10 @@ class CartTree:
 def grow(samples: DeltaSamples, config: GrowConfig) -> CartTree:
     """Recursively apply the configured splitter to build a tree.
 
-    A node is forced to a leaf (weight by the sign of its total weight) when
-    it sits at max_depth or holds fewer than min_node_size samples; otherwise
-    the splitter decides.  A split node sends its rows with x[dim] <= threshold
-    to the left child, the rule ``CartTree.predict`` routes by.
+    A node is a leaf when it sits at max_depth, holds fewer than min_node_size
+    samples or ``_decide`` does not split it; a leaf's weight is 1 (STOP) iff
+    the node's total weight is negative.  A split node sends its rows with
+    x[dim] <= threshold to the left child, the rule ``CartTree.predict`` routes by.
     """
     if len(samples) == 0:
         raise ValueError("empty sample set")
@@ -366,20 +341,24 @@ def grow(samples: DeltaSamples, config: GrowConfig) -> CartTree:
     def build(rows, orders, depth: int) -> int:
         node = len(nodes)
         total = float(np.sum(weight[rows]))
-        if depth >= config.max_depth or rows.shape[0] < config.min_node_size:
-            decision = _leaf_for(total)
-        else:
-            decision = _decide(points, weight, orders, total, proto)
-        if isinstance(decision, Leaf):
-            nodes.append((-1, 0.0, -1, -1, decision.weight))
+        split = None
+        if depth < config.max_depth and rows.shape[0] >= config.min_node_size:
+            split = _decide(points, weight, orders, total, proto)
+        if split is None:
+            # Nodes with an exactly-zero total arise only when every sample carries
+            # a zero increment (continuation and immediate reward both worthless on
+            # the ensemble).  Stopping there realizes nothing in sample and
+            # generalizes worse out of sample, so such nodes are left running.
+            nodes.append((-1, 0.0, -1, -1, int(total < 0)))
             return node
+        dim, threshold = split
         nodes.append(None)
-        go_left = points[rows, decision.dim] <= decision.threshold
+        go_left = points[rows, dim] <= threshold
         side[rows] = go_left
         masks = [side[o] for o in orders]
         left = build(rows[go_left], [o[g] for o, g in zip(orders, masks)], depth + 1)
         right = build(rows[~go_left], [o[~g] for o, g in zip(orders, masks)], depth + 1)
-        nodes[node] = (decision.dim, decision.threshold, left, right, -1)
+        nodes[node] = (dim, threshold, left, right, -1)
         return node
 
     build(np.arange(len(samples)), samples.orders, 0)

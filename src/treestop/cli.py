@@ -111,8 +111,9 @@ def _load_theoretical(path, steps: int) -> np.ndarray:
     """Read a ``n,b(n)`` boundary CSV into levels for steps 0..N, NaN where absent.
 
     Blank lines, ``#`` comments and a header starting ``n,`` are skipped.  A
-    ValueError names the file line that is malformed, negative or repeated,
-    and reports a file with no data rows or no row for step N.
+    ValueError names the file line that is malformed, has a negative or
+    repeated step or a non-finite level, and reports a file with no data rows
+    or no row for step N.
     """
     rows = {}
     with open(path) as fh:
@@ -128,6 +129,8 @@ def _load_theoretical(path, steps: int) -> np.ndarray:
             if n < 0 or n in rows:
                 problem = "is negative" if n < 0 else "repeats an earlier line"
                 raise ValueError(f"{path} line {lineno}: step {n} {problem}")
+            if not math.isfinite(b):
+                raise ValueError(f"{path} line {lineno}: b({n}) = {b!r} is not finite")
             rows[n] = b
     if not rows:
         raise ValueError(f"{path}: no data rows")

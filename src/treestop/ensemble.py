@@ -85,15 +85,18 @@ class GbmSpec:
             raise ValueError("dim and steps must be positive")
         if self.maturity <= 0:
             raise ValueError("maturity must be positive")
-        if np.any(x0 <= 0):
-            raise ValueError("x0 must be positive")
-        if np.any(vols < 0):
-            raise ValueError("vols must be nonnegative")
+        if not np.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu!r}")
+        # the negated tests refuse NaN too
+        if not np.all((x0 > 0) & (x0 < np.inf)):
+            raise ValueError("x0 must be finite and positive")
+        if not np.all((vols >= 0) & (vols < np.inf)):
+            raise ValueError("vols must be finite and nonnegative")
 
     @classmethod
     def symmetric(cls, dim, x0, mu, sigma, maturity, steps) -> "GbmSpec":
-        if sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0 <= sigma < np.inf:
+            raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
         return cls(dim, x0, mu, np.full(dim, float(sigma)), maturity, steps)
 
     @classmethod

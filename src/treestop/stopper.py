@@ -145,7 +145,8 @@ class BaggedStopper:
 
     @classmethod
     def parse(cls, text: str, reward_spec: RewardSpec) -> "BaggedStopper":
-        """Parse a ``serialize`` dump; ValueError names a malformed line or key."""
+        """Parse a ``serialize`` dump; ValueError names a malformed line or key,
+        or a tree whose feature width differs from the first tree's."""
         # leading '#' lines are provenance comments added by the CLI
         lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
         if not lines or lines[0].strip() != "stopper v1":
@@ -171,6 +172,7 @@ class BaggedStopper:
         if found != bags * steps:
             raise ValueError(f"stopper dump has {found} trees, header declares {bags} x {steps}")
         trees = [[None] * steps for _ in range(bags)]
+        width = None  # the first tree's feature count, which every tree must share
         while i < len(lines):
             head = lines[i].strip()
             m = re.fullmatch(r"begintree bag=(\d+) step=(\d+)", head)
@@ -181,9 +183,13 @@ class BaggedStopper:
             if end is None:
                 raise ValueError(f"stopper dump ends inside {head!r}")
             try:
-                trees[b][n] = CartTree.from_text("\n".join(lines[i + 1:end]))
+                trees[b][n] = tree = CartTree.from_text("\n".join(lines[i + 1:end]))
             except ValueError as exc:
                 raise ValueError(f"{head}: {exc}") from None
+            width = tree.n_features if width is None else width
+            if tree.n_features != width:
+                raise ValueError(f"{head}: features={tree.n_features}, "
+                                 f"the first tree has features={width}")
             i = end + 1
         return cls(trees, header["feature_mode"], reward_spec)
 

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from treestop.cart import CartTree, GrowConfig, Leaf, Split, grow
+from treestop.cart import CartTree, GrowConfig, grow
 from treestop.ensemble import PathEnsemble
 from treestop.reward import reward
 from treestop.valuation import ValuationReport
@@ -52,15 +52,16 @@ def brute_force_split(points, weights, always_split=False):
 
 
 def grown_root(samples, splitter):
-    """The node decision of ``grow`` at the root: a ``Leaf`` or a ``Split``.
+    """The node decision of ``grow`` at the root: ("leaf", weight) or
+    ("split", dim, threshold), the vocabulary of ``brute_force_split``.
 
     The root of a depth-1 tree without a node-size cap is decided by the
     splitter alone.
     """
     tree = grow(samples, GrowConfig(max_depth=1, min_node_size=1, splitter=splitter))
     if tree.feature[0] < 0:
-        return Leaf(int(tree.leaf_weight[0]))
-    return Split(int(tree.feature[0]), float(tree.threshold[0]))
+        return ("leaf", int(tree.leaf_weight[0]))
+    return ("split", int(tree.feature[0]), float(tree.threshold[0]))
 
 
 def constant_tree(weight, n_features):

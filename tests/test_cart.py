@@ -8,8 +8,6 @@ from treestop.cart import (
     PROTOTYPE,
     CartTree,
     GrowConfig,
-    Leaf,
-    Split,
     grow,
     removal,
 )
@@ -122,20 +120,20 @@ def test_removal_rejects_non_finite_input(bad):
 
 def test_pocket_instance_collapses_to_continue_leaf():
     s = removal(POCKET_POINTS, POCKET_DELTAS)
-    assert grown_root(s, DELTA) == Leaf(0)
+    assert grown_root(s, DELTA) == ("leaf", 0)
 
 
 def test_same_sign_sets_always_leaf():
     s = removal(np.array([[1.0], [2.0], [3.0]]), np.array([-0.2, -0.7, -0.1]))
-    assert grown_root(s, DELTA) == Leaf(1)
+    assert grown_root(s, DELTA) == ("leaf", 1)
     s_pos = removal(np.array([[1.0], [2.0], [3.0]]), np.array([0.2, 0.7, 0.1]))
-    assert grown_root(s_pos, DELTA) == Leaf(0)
+    assert grown_root(s_pos, DELTA) == ("leaf", 0)
 
 
 def test_one_dimensional_sign_change_splits_in_the_middle():
     # prefix sums -1, -2, -1 give max score 2 > |total| = 0
     s = removal(np.array([[1.0], [2.0], [3.0], [4.0]]), np.array([-1.0, -1.0, 1.0, 1.0]))
-    assert grown_root(s, DELTA) == Split(dim=0, threshold=2.0)
+    assert grown_root(s, DELTA) == ("split", 0, 2.0)
 
 
 def test_prototype_splits_pocket_instance():
@@ -143,7 +141,7 @@ def test_prototype_splits_pocket_instance():
     decision = grown_root(s, PROTOTYPE)
     # exhaustive scoring: the best achievable score is 2, first reached on
     # dim 0 after the point at x=2
-    assert decision == Split(dim=0, threshold=2.0)
+    assert decision == ("split", 0, 2.0)
     kind, score, *_ = brute_force_split(POCKET_POINTS, POCKET_DELTAS)
     assert kind == "leaf"  # the size-controlled rule stops here instead
     total = POCKET_DELTAS.sum()
@@ -152,12 +150,12 @@ def test_prototype_splits_pocket_instance():
 
 def test_prototype_single_sample_leaf():
     s = removal(np.array([[7.0]]), np.array([-0.2]))
-    assert grown_root(s, PROTOTYPE) == Leaf(1)
+    assert grown_root(s, PROTOTYPE) == ("leaf", 1)
 
 
 def test_prototype_forced_split_of_two_points():
     s = removal(np.array([[1.0], [2.0]]), np.array([5.0, 5.0]))
-    assert grown_root(s, PROTOTYPE) == Split(dim=0, threshold=1.0)
+    assert grown_root(s, PROTOTYPE) == ("split", 0, 1.0)
 
 
 def test_empty_input_rejected():
@@ -186,11 +184,7 @@ def test_delta_split_matches_exhaustive_enumeration(case):
     s = removal(pts, dl)
     got = grown_root(s, DELTA)
     expected = brute_force_split(s.points, s.weight)
-    if expected[0] == "leaf":
-        assert got == Leaf(expected[1])
-    else:
-        _, score, dim, thr = expected
-        assert got == Split(dim, thr)
+    assert got == (expected if expected[0] == "leaf" else ("split", *expected[2:]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -201,12 +195,12 @@ def test_grow_root_matches_standalone_split(case, splitter, max_depth):
     s = removal(*case)
     tree = grow(s, GrowConfig(max_depth=max_depth, min_node_size=1, splitter=splitter))
     expected = grown_root(s, splitter)
-    kind, *found = brute_force_split(s.points, s.weight, always_split=splitter == PROTOTYPE)
-    assert expected == (Leaf(found[0]) if kind == "leaf" else Split(found[1], found[2]))
+    found = brute_force_split(s.points, s.weight, always_split=splitter == PROTOTYPE)
+    assert expected == (found if found[0] == "leaf" else ("split", *found[2:]))
     if tree.feature[0] < 0:
-        assert expected == Leaf(int(tree.leaf_weight[0]))
+        assert expected == ("leaf", int(tree.leaf_weight[0]))
     else:
-        assert expected == Split(int(tree.feature[0]), float(tree.threshold[0]))
+        assert expected == ("split", int(tree.feature[0]), float(tree.threshold[0]))
 
 
 # ---------------------------------------------------------------------------

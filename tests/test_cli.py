@@ -324,7 +324,10 @@ def test_raw_put_keeps_its_output_bytes(tmp_path, monkeypatch):
     ("n,b\n0,86\n-1,90\n1,86\n", "line 3: step -1 is negative"),
     ("n,b\n0,86\n1,86\n1,87\n2,86\n", "line 4: step 1 repeats"),
     ("n,b\n0,86\n1,86\n", "last row is step 1, the config needs steps 0..2"),
-], ids=["one_column", "no_rows", "negative_step", "duplicate_step", "short"])
+    ("n,b\n0,86\n1,nan\n2,86\n", "line 3: b(1) = nan is not finite"),
+    ("n,b\n0,86\n1,86\n2,inf\n", "line 4: b(2) = inf is not finite"),
+], ids=["one_column", "no_rows", "negative_step", "duplicate_step", "short", "nan_level",
+        "inf_level"])
 def test_bad_theoretical_file_fails_before_simulating(tmp_path, capsys, monkeypatch,
                                                       text, message):
     def no_ensemble(*args, **kwargs):
@@ -367,9 +370,15 @@ def overrides(settings):
     ("train", ["maturity=nan"], "maturity must be finite"),
     ("train", [*KNOCK_OUT_3, "barrier=nan"], "barrier must be finite"),
     ("train", [*KNOCK_OUT_3, "barrier=inf"], "barrier must be finite"),
+    ("train", ["mu=nan"], "mu must be finite"),
+    ("train", ["sigma=inf"], "sigma must be finite"),
+    ("train", ["x0=nan"], "x0 must be finite"),
+    ("train", ["x0=inf"], "x0 must be finite"),
+    ("train", ["vol_mode=explicit", "vols=nan"], "vols must be finite"),
 ], ids=["splitter", "bags", "max_depth", "min_node_size", "feature_mode",
         "four_features_put", "put_dim", "ls_scope", "rate_nan", "rate_inf", "rate_minus_inf",
-        "strike_nan", "strike_inf", "maturity_nan", "barrier_nan", "barrier_inf"])
+        "strike_nan", "strike_inf", "maturity_nan", "barrier_nan", "barrier_inf", "mu_nan",
+        "sigma_inf", "x0_nan", "x0_inf", "vols_nan"])
 def test_bad_config_fails_before_simulating(tmp_path, capsys, monkeypatch, command,
                                             settings, message):
     common = ["--set", "k_train=2000000", "--set", "k_test=2000", "--out", str(tmp_path)]
@@ -522,8 +531,12 @@ def test_evaluate_memory_stays_below_half_the_test_ensemble(tmp_path):
     assert peak < ensemble_bytes / 2
 
 
-def barrier_guard_evaluate_peak(tmp_path):
-    """tracemalloc peak of evaluating a barrier-d8-like config of five chunks."""
+def test_barrier_evaluate_memory_stays_below_one_and_a_half_chunks(tmp_path):
+    # tracemalloc peak of evaluating a barrier-d8-like config of five chunks:
+    # one chunk, one block of normals and one step's features and votes, about
+    # 1.13 chunks.  The chunk's whole normals buffer next to it (+0.98 chunk), a
+    # chunk kept past its iteration (+1 chunk) or a chunk's (N+1, k, 4) feature
+    # block kept while the next one is simulated (+0.44) breaks the bound
     k_test, steps, dim = 20000, 53, 8
     per_chunk = ensemble.CHUNK_BYTES // (8 * (steps + 1) * (dim + 1))
     assert -(-k_test // per_chunk) == 5
@@ -535,22 +548,10 @@ def barrier_guard_evaluate_peak(tmp_path):
     tracemalloc.start()
     try:
         assert main(["evaluate", "--stopper", str(tmp_path / "stopper.txt"), *common]) == 0
-        return tracemalloc.get_traced_memory()[1]
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-
-
-def test_barrier_evaluate_memory_stays_below_two_and_a_half_chunks(tmp_path):
-    # a streamed evaluate of this config peaks at about 1.13 chunks;
-    # a chunk kept past its iteration (+1 chunk), or a chunk's (N+1, k, 4)
-    # feature block kept while the next one is simulated (+0.44), breaks the bound
-    assert barrier_guard_evaluate_peak(tmp_path) < 2.5 * ensemble.CHUNK_BYTES
-
-
-def test_barrier_evaluate_memory_stays_below_one_and_a_half_chunks(tmp_path):
-    # one chunk, one block of normals and one step's features and votes; the
-    # chunk's whole normals buffer next to it (+0.98 chunk) breaks the bound
-    assert barrier_guard_evaluate_peak(tmp_path) < 1.5 * ensemble.CHUNK_BYTES
+    assert peak < 1.5 * ensemble.CHUNK_BYTES
 
 
 def test_missing_stopper_file_exits_nonzero(tmp_path):
@@ -568,6 +569,30 @@ def test_truncated_stopper_file_exits_with_error(tmp_path, capsys):
     dump.write_text(text[: text.rindex("endtree")])
     assert main(["evaluate", "--stopper", str(dump), *common]) == 2
     assert capsys.readouterr().err.startswith("error: stopper dump ends inside")
+
+
+def test_stopper_file_with_mixed_tree_widths_exits_with_error(tmp_path, capsys, monkeypatch):
+    # every tree reads the first tree's features; a wider later tree is refused
+    # by name before any ensemble is simulated
+    common = ["--set", "k_train=60", "--set", "k_test=60", "--set", "steps=3",
+              "--set", "bags=2", "--out", str(tmp_path)]
+    assert main(["train", *common]) == 0
+    capsys.readouterr()
+    dump = tmp_path / "stopper.txt"
+    text, found = re.subn(r"^(begintree bag=1 step=2\ntree nodes=\d+ features=)1$", r"\g<1>2",
+                          dump.read_text(), flags=re.M)
+    assert found == 1
+    dump.write_text(text)
+
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("an ensemble was built before the stopper was checked")
+
+    monkeypatch.setattr(ExperimentConfig, "make_ensemble", no_ensemble)
+    monkeypatch.setattr(ExperimentConfig, "ensemble_chunks", no_ensemble)
+    assert main(["evaluate", "--stopper", str(dump), *common]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: begintree bag=1 step=2: features=2")
+    assert not (tmp_path / "valuation.csv").exists()
 
 
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
