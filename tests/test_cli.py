@@ -531,27 +531,38 @@ def test_evaluate_memory_stays_below_half_the_test_ensemble(tmp_path):
     assert peak < ensemble_bytes / 2
 
 
-def test_barrier_evaluate_memory_stays_below_one_and_a_half_chunks(tmp_path):
-    # tracemalloc peak of evaluating a barrier-d8-like config of five chunks:
-    # one chunk, one block of normals and one step's features and votes, about
-    # 1.13 chunks.  The chunk's whole normals buffer next to it (+0.98 chunk), a
-    # chunk kept past its iteration (+1 chunk) or a chunk's (N+1, k, 4) feature
-    # block kept while the next one is simulated (+0.44) breaks the bound
+@pytest.fixture(scope="module")
+def barrier_evaluate_peak(tmp_path_factory):
+    """tracemalloc peak of evaluating a barrier-d8-like config of five chunks,
+    measured once for both chunk bounds below."""
+    out = tmp_path_factory.mktemp("barrier_guard")
     k_test, steps, dim = 20000, 53, 8
     per_chunk = ensemble.CHUNK_BYTES // (8 * (steps + 1) * (dim + 1))
     assert -(-k_test // per_chunk) == 5
     common = ["--set", "kind=max_call_barrier", "--set", f"dim={dim}", "--set", "mu=0.05",
               "--set", "maturity=3.0", "--set", f"steps={steps}", "--set", "barrier=170.0",
               "--set", "feature_mode=four_features", "--set", "k_train=2000",
-              "--set", "bags=4", "--set", f"k_test={k_test}", "--out", str(tmp_path)]
+              "--set", "bags=4", "--set", f"k_test={k_test}", "--out", str(out)]
     assert main(["train", *common]) == 0
     tracemalloc.start()
     try:
-        assert main(["evaluate", "--stopper", str(tmp_path / "stopper.txt"), *common]) == 0
-        _, peak = tracemalloc.get_traced_memory()
+        assert main(["evaluate", "--stopper", str(out / "stopper.txt"), *common]) == 0
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * ensemble.CHUNK_BYTES
+
+
+def test_barrier_evaluate_memory_stays_below_two_and_a_half_chunks(barrier_evaluate_peak):
+    # a streamed evaluate of this config peaks at about 1.13 chunks;
+    # a chunk kept past its iteration (+1 chunk), or a chunk's (N+1, k, 4)
+    # feature block kept while the next one is simulated (+0.44), breaks the bound
+    assert barrier_evaluate_peak < 2.5 * ensemble.CHUNK_BYTES
+
+
+def test_barrier_evaluate_memory_stays_below_one_and_a_half_chunks(barrier_evaluate_peak):
+    # one chunk, one block of normals and one step's features and votes; the
+    # chunk's whole normals buffer next to it (+0.98 chunk) breaks the bound
+    assert barrier_evaluate_peak < 1.5 * ensemble.CHUNK_BYTES
 
 
 def test_missing_stopper_file_exits_nonzero(tmp_path):
