@@ -193,48 +193,31 @@ class GrowConfig:
 
 
 class CartTree:
-    """Flat-array binary tree over feature vectors with {0,1} leaf weights.
+    """Binary tree over feature vectors with {0,1} leaf weights.
 
-    Nodes live in parallel arrays; ``feature[i] == -1`` marks a leaf whose
-    weight is ``leaf_weight[i]``.  Internal nodes route x left iff
-    x[feature[i]] <= threshold[i].
+    ``nodes`` is the tuple of preorder nodes that ``grow`` builds and
+    ``from_text`` parses, node i as ``(feature, threshold, left, right,
+    leaf)``.  A split node is ``(dim, threshold, left, right, 0)`` and routes
+    x to ``left`` iff x[dim] <= threshold; a leaf is ``(-1, 0.0, -1, -1,
+    weight)``.  Each node has this one form, so a grown tree and its parsed
+    dump are equal node for node, and children come after their parent.
 
     ``predict`` evaluates a matrix by partition traversal: a stack of (node,
-    row indices) pairs starts with the root holding every listed row; an
-    internal node compares only its own rows on its split column and pushes
-    the two halves, and a STOP leaf marks its rows.  Each listed row is
-    compared once per node on its root-to-leaf path and nowhere else.
+    row indices) pairs starts with the root holding every listed row; a split
+    node compares only its own rows on its split column and pushes the two
+    halves, and a STOP leaf marks its rows.  Each listed row is compared once
+    per node on its root-to-leaf path and nowhere else.
     """
 
-    __slots__ = ("feature", "threshold", "left", "right", "leaf_weight", "n_features")
+    __slots__ = ("nodes", "n_features")
 
-    def __init__(self, feature, threshold, left, right, leaf_weight, n_features):
-        self.feature = np.asarray(feature, dtype=np.int32)
-        self.threshold = np.asarray(threshold, dtype=float)
-        self.left = np.asarray(left, dtype=np.int32)
-        self.right = np.asarray(right, dtype=np.int32)
-        self.leaf_weight = np.asarray(leaf_weight, dtype=np.int8)
+    def __init__(self, nodes, n_features):
+        self.nodes = tuple(nodes)
         self.n_features = int(n_features)
 
     @property
     def n_nodes(self) -> int:
-        return self.feature.shape[0]
-
-    @property
-    def leaf_count(self) -> int:
-        return int(np.sum(self.feature < 0))
-
-    @property
-    def depth(self) -> int:
-        depths = np.zeros(self.n_nodes, dtype=int)
-        out = 0
-        for i in range(self.n_nodes):
-            if self.feature[i] >= 0:
-                depths[self.left[i]] = depths[i] + 1
-                depths[self.right[i]] = depths[i] + 1
-            else:
-                out = max(out, int(depths[i]))
-        return out
+        return len(self.nodes)
 
     def predict(self, x, rows=None) -> np.ndarray:
         """(K,) int8 leaf weights reached by the listed ``rows`` (all by default)
@@ -245,19 +228,17 @@ class CartTree:
         if arr.ndim != 2 or arr.shape[1] != self.n_features:
             raise ValueError(f"expected feature dim {self.n_features}, got shape {arr.shape}")
         cols = arr.T
-        feature, threshold, left, right, weight = (a.tolist() for a in (
-            self.feature, self.threshold, self.left, self.right, self.leaf_weight))
         out = np.zeros(arr.shape[0], dtype=np.int8)
         stack = [(0, np.arange(arr.shape[0]) if rows is None else rows)]
         while stack:
             node, idx = stack.pop()
-            f = feature[node]
-            if f < 0 and weight[node]:
+            f, threshold, left, right, leaf = self.nodes[node]
+            if leaf:
                 out[idx] = 1
             elif f >= 0 and idx.shape[0]:
-                go_left = cols[f].take(idx) <= threshold[node]
-                stack.append((right[node], idx.compress(~go_left)))
-                stack.append((left[node], idx.compress(go_left)))
+                go_left = cols[f].take(idx) <= threshold
+                stack.append((right, idx.compress(~go_left)))
+                stack.append((left, idx.compress(go_left)))
         return out
 
     def to_text(self) -> str:
@@ -267,14 +248,9 @@ class CartTree:
         major version.
         """
         lines = [f"tree nodes={self.n_nodes} features={self.n_features}"]
-        for i in range(self.n_nodes):
-            if self.feature[i] >= 0:
-                lines.append(
-                    f"{i} split {self.feature[i]} {float(self.threshold[i])!r} "
-                    f"{self.left[i]} {self.right[i]}"
-                )
-            else:
-                lines.append(f"{i} leaf {self.leaf_weight[i]}")
+        for i, (f, threshold, left, right, leaf) in enumerate(self.nodes):
+            lines.append(f"{i} split {f} {threshold!r} {left} {right}" if f >= 0
+                         else f"{i} leaf {leaf}")
         return "\n".join(lines)
 
     @classmethod
@@ -293,11 +269,7 @@ class CartTree:
         n, n_features = int(head[1]), int(head[2])
         if len(lines) != n + 1:
             raise ValueError(f"tree declares {n} nodes but has {len(lines) - 1} node lines")
-        feature = np.full(n, -1, dtype=np.int32)
-        threshold = np.zeros(n)
-        left = np.full(n, -1, dtype=np.int32)
-        right = np.full(n, -1, dtype=np.int32)
-        weight = np.zeros(n, dtype=np.int8)
+        nodes = []
         for i, ln in enumerate(lines[1:]):
             parts = ln.split()
             try:
@@ -307,14 +279,14 @@ class CartTree:
                     if not (0 <= f < n_features and i < lo < n and i < hi < n
                             and np.isfinite(thr)):
                         raise ValueError
-                    feature[i], threshold[i], left[i], right[i] = f, thr, lo, hi
+                    nodes.append((f, thr, lo, hi, 0))
                 elif parts in ([str(i), "leaf", "0"], [str(i), "leaf", "1"]):
-                    weight[i] = int(parts[2])
+                    nodes.append((-1, 0.0, -1, -1, int(parts[2])))
                 else:
                     raise ValueError
             except (ValueError, OverflowError):
                 raise ValueError(f"bad node line {ln!r}") from None
-        return cls(feature, threshold, left, right, weight, n_features)
+        return cls(nodes, n_features)
 
 
 def grow(samples: DeltaSamples, config: GrowConfig) -> CartTree:
@@ -330,7 +302,7 @@ def grow(samples: DeltaSamples, config: GrowConfig) -> CartTree:
     points = samples.points
     weight = samples.weight
     proto = config.splitter == PROTOTYPE
-    nodes = []  # preorder (feature, threshold, left, right, leaf_weight)
+    nodes = []  # preorder (feature, threshold, left, right, leaf), as CartTree holds them
     # side[i] says whether row i goes left; each split writes it for its own
     # rows only and reads it back for them before either child overwrites it
     side = np.empty(len(samples), dtype=bool)
@@ -358,8 +330,8 @@ def grow(samples: DeltaSamples, config: GrowConfig) -> CartTree:
         masks = [side[o] for o in orders]
         left = build(rows[go_left], [o[g] for o, g in zip(orders, masks)], depth + 1)
         right = build(rows[~go_left], [o[~g] for o, g in zip(orders, masks)], depth + 1)
-        nodes[node] = (dim, threshold, left, right, -1)
+        nodes[node] = (dim, threshold, left, right, 0)
         return node
 
     build(np.arange(len(samples)), samples.orders, 0)
-    return CartTree(*zip(*nodes), points.shape[1])
+    return CartTree(nodes, points.shape[1])

@@ -184,8 +184,8 @@ def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = T
     with residuals against ``boundary_file`` when given, and stop_region.csv
     when the stopper's trees read one feature.  The config, the path counts
     of the ensembles the run simulates, the feature mode, the cfg.with_ls
-    scope and a loaded stopper's bags and feature mode are checked before any
-    ensemble is simulated.  The training ensemble is held whole only to fit
+    scope and a loaded stopper's bags, feature mode and tree width are checked
+    before any ensemble is simulated.  The training ensemble is held whole only to fit
     the stopper or the cfg.with_ls regression; every valuation streams its
     ensemble in path chunks (``_value_pass``).  Returns the reports by kind.
     """
@@ -212,7 +212,11 @@ def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = T
                               f"got {getattr(cfg, name)}")
     # a one-path ensemble of the same spec meets every check the full ones would
     probe = generate_gbm(cfg.gbm_spec(), 1, cfg.seed_train, TRAIN_LABEL, reward_spec.barrier)
-    check_compat(probe, reward_spec, train_config.feature_mode if fit else stopper.feature_mode)
+    width = check_compat(probe, reward_spec, cfg.feature_mode)
+    if not fit and stopper.trees[0][0].n_features != width:
+        raise ConfigError(f"{stopper_file} has trees with features="
+                          f"{stopper.trees[0][0].n_features}, the config's {cfg.feature_mode} "
+                          f"features have width {width}")
     if boundary and probe.dim != 1:
         raise ConfigError("boundary extraction needs one-dimensional paths")
     if with_ls:

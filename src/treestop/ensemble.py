@@ -16,8 +16,10 @@ paths at a time (``standard_normal((k, N, D))``, numpy's ziggurat transform),
 from that one stream: blocks of one stream give the same numbers as one
 ``standard_normal((K, N, D))`` call.  Each block is turned into price ratios
 in place and transposed on write into the step-major array.  This is
-byte-stable across runs, machines, block and chunk sizes for a fixed numpy
-major version.
+byte-stable across runs, block and chunk sizes for a fixed numpy version and a
+fixed SIMD dispatch level, not across every machine: numpy picks its float64
+``exp`` loop by CPU, and its AVX-512 loop rounds some points differently from
+the others (see the README's Determinism section).
 
 ``generate_gbm`` fills one whole ensemble; ``gbm_chunks`` yields the same
 paths as separate step-major ensembles of at most ``CHUNK_BYTES``, so a caller
@@ -183,7 +185,9 @@ def _fill(out: np.ndarray, rng: np.random.Generator, spec: GbmSpec,
         ratio *= spec.vols * np.sqrt(dt)
         ratio += (spec.mu - 0.5 * spec.vols**2) * dt
         np.cumsum(ratio, axis=1, out=ratio)
-        # exp runs on the contiguous buffer: numpy's strided exp loop may round differently
+        # exp runs on the contiguous buffer: numpy picks its exp loop by CPU and by
+        # stride, and the loops may round differently, so the bytes hold for one
+        # numpy version at one SIMD dispatch level
         np.exp(ratio, out=ratio)
         np.multiply(spec.x0, ratio.transpose(1, 0, 2), out=block[1:, :, :D])
         if barrier is not None:

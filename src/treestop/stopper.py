@@ -88,7 +88,7 @@ class BaggedStopper:
             table = None
             if all(tree.n_features == 1 for tree in step):
                 # distinct thresholds, not np.unique: it imports numpy.ma (about 1 MB RSS)
-                cuts = np.sort(np.concatenate([t.threshold[t.feature >= 0] for t in step]))
+                cuts = np.sort([thr for t in step for f, thr, *_ in t.nodes if f >= 0])
                 breaks = cuts[np.append(True, cuts[1:] != cuts[:-1])[:cuts.size]]
                 ends = np.append(breaks, np.inf)[:, None]
                 votes = np.stack([tree.predict(ends) for tree in step])

@@ -5,9 +5,9 @@ Everything here is deliberately written in the most literal way possible
 ``PathEnsemble`` and ``ValuationReport`` result types and the ``reward``
 payoff) so the tests check the real implementations against independently
 coded logic.  The European closed
-form lives here because only tests use it.  Two helpers are not references
-but shared test plumbing over the package's trees: ``grown_root`` and
-``constant_tree``.
+form lives here because only tests use it.  Four helpers are not references
+but shared test plumbing over the package's trees: ``grown_root``,
+``constant_tree``, ``tree_depth`` and ``leaf_count``.
 """
 
 import math
@@ -59,14 +59,24 @@ def grown_root(samples, splitter):
     splitter alone.
     """
     tree = grow(samples, GrowConfig(max_depth=1, min_node_size=1, splitter=splitter))
-    if tree.feature[0] < 0:
-        return ("leaf", int(tree.leaf_weight[0]))
-    return ("split", int(tree.feature[0]), float(tree.threshold[0]))
+    f, threshold, _, _, leaf = tree.nodes[0]
+    return ("leaf", leaf) if f < 0 else ("split", f, threshold)
 
 
 def constant_tree(weight, n_features):
     """A one-leaf tree voting ``weight`` on every row of ``n_features`` columns."""
     return CartTree.from_text(f"tree nodes=1 features={n_features}\n0 leaf {weight}")
+
+
+def tree_depth(tree, node=0):
+    """Edges on the longest path from ``node`` (the root by default) down to a leaf."""
+    f, _, left, right, _ = tree.nodes[node]
+    return 0 if f < 0 else 1 + max(tree_depth(tree, left), tree_depth(tree, right))
+
+
+def leaf_count(tree):
+    """How many of the tree's nodes are leaves."""
+    return sum(f < 0 for f, *_ in tree.nodes)
 
 
 def reference_grow(points, weights, max_depth, min_node_size, always_split=False):

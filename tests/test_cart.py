@@ -16,7 +16,9 @@ from oracles import (
     brute_force_split,
     constant_tree,
     grown_root,
+    leaf_count,
     reference_grow,
+    tree_depth,
     unique_removal,
 )
 
@@ -197,10 +199,8 @@ def test_grow_root_matches_standalone_split(case, splitter, max_depth):
     expected = grown_root(s, splitter)
     found = brute_force_split(s.points, s.weight, always_split=splitter == PROTOTYPE)
     assert expected == (found if found[0] == "leaf" else ("split", *found[2:]))
-    if tree.feature[0] < 0:
-        assert expected == ("leaf", int(tree.leaf_weight[0]))
-    else:
-        assert expected == ("split", int(tree.feature[0]), float(tree.threshold[0]))
+    f, threshold, _, _, leaf = tree.nodes[0]
+    assert expected == (("leaf", leaf) if f < 0 else ("split", f, threshold))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +210,7 @@ def test_grow_root_matches_standalone_split(case, splitter, max_depth):
 def test_depth_zero_forces_single_leaf():
     s = removal(np.array([[1.0], [2.0]]), np.array([-3.0, 1.0]))
     tree = grow(s, GrowConfig(max_depth=0))
-    assert tree.n_nodes == 1 and tree.leaf_count == 1
+    assert tree.n_nodes == 1 and leaf_count(tree) == 1
     assert tree.predict(np.array([[5.0]]))[0] == 1  # total is negative
 
 
@@ -228,7 +228,7 @@ def test_prototype_isolates_every_point():
     dl = rng.normal(size=17)
     s = removal(pts, dl)
     tree = grow(s, GrowConfig(max_depth=64, min_node_size=1, splitter="prototype"))
-    assert tree.leaf_count == 17
+    assert leaf_count(tree) == 17
     np.testing.assert_array_equal(tree.predict(pts), (dl < 0).astype(int))
 
 
@@ -242,20 +242,20 @@ def test_min_node_size_forces_leaf():
 def leaf_of(tree, x):
     """Reference: the id of the leaf one feature vector reaches, node by node."""
     i = 0
-    while tree.feature[i] >= 0:
-        i = tree.left[i] if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
+    while tree.nodes[i][0] >= 0:
+        f, threshold, left, right, _ = tree.nodes[i]
+        i = left if x[f] <= threshold else right
     return i
 
 
 def test_predict_boundary_goes_left():
-    tree = CartTree([0, -1, -1], [2.0, 0.0, 0.0], [1, -1, -1], [2, -1, -1],
-                    [-1, 1, 0], 1)
+    tree = CartTree([(0, 2.0, 1, 2, 0), (-1, 0.0, -1, -1, 1), (-1, 0.0, -1, -1, 0)], 1)
     np.testing.assert_array_equal(tree.predict(np.array([[2.0], [2.0001]])), [1, 0])
 
 
 def test_single_leaf_tree_is_constant():
     tree = constant_tree(1, 3)
-    assert tree.n_nodes == 1 and tree.depth == 0
+    assert tree.n_nodes == 1 and tree_depth(tree) == 0
     np.testing.assert_array_equal(tree.predict(np.array([[9.0, -4.0, 0.0], [0.0, 0.0, 0.0]])),
                                   [1, 1])
 
@@ -278,12 +278,13 @@ def test_partition_consistency(case, splitter):
     pts, dl = case
     s = removal(pts, dl)
     tree = grow(s, GrowConfig(max_depth=6, min_node_size=1, splitter=splitter))
-    assert tree.depth <= 6
+    assert tree_depth(tree) <= 6
     reached = np.array([leaf_of(tree, x) for x in s.points])
-    for leaf in np.flatnonzero(tree.feature < 0):
-        rows = np.flatnonzero(reached == leaf)
-        assert rows.shape[0] >= 1
-        assert tree.leaf_weight[leaf] == int(np.sum(s.weight[rows]) < 0)
+    for i, (f, _, _, _, leaf) in enumerate(tree.nodes):
+        if f < 0:
+            rows = np.flatnonzero(reached == i)
+            assert rows.shape[0] >= 1
+            assert leaf == int(np.sum(s.weight[rows]) < 0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -311,7 +312,7 @@ def test_prototype_attains_training_minimum(case):
 
 def walk(tree, x):
     """Reference: the leaf weight one feature vector reaches, node by node."""
-    return int(tree.leaf_weight[leaf_of(tree, x)])
+    return tree.nodes[leaf_of(tree, x)][4]
 
 
 @settings(max_examples=150, deadline=None)
@@ -325,7 +326,7 @@ def test_predict_matches_per_row_walk(m, d, seed, splitter, max_depth, min_node_
     # the threshold's float neighbours, then repeat some rows
     candidates = []
     for f in range(d):
-        thr = tree.threshold[tree.feature == f]
+        thr = np.array([t for g, t, *_ in tree.nodes if g == f])
         candidates.append(np.concatenate([s.points[:, f], thr, np.nextafter(thr, -np.inf),
                                           np.nextafter(thr, np.inf)]))
     probes = np.column_stack([rng.choice(c, size=200) for c in candidates])
@@ -370,5 +371,6 @@ def test_text_round_trip():
     tree = grow(s, GrowConfig(max_depth=5, min_node_size=2))
     clone = CartTree.from_text(tree.to_text())
     assert clone.to_text() == tree.to_text()
+    assert clone.nodes == tree.nodes
     probe = rng.uniform(0, 1, size=(100, 3))
     np.testing.assert_array_equal(clone.predict(probe), tree.predict(probe))

@@ -606,6 +606,30 @@ def test_stopper_file_with_mixed_tree_widths_exits_with_error(tmp_path, capsys, 
     assert not (tmp_path / "valuation.csv").exists()
 
 
+def test_stopper_file_wider_than_its_features_exits_with_error(tmp_path, capsys, monkeypatch):
+    # trees that all read two features cannot vote on the raw put's one; the
+    # width is compared with the one-path probe's before any ensemble is simulated
+    common = ["--set", "k_train=60", "--set", "k_test=60", "--set", "steps=3",
+              "--set", "bags=2", "--out", str(tmp_path)]
+    assert main(["train", *common]) == 0
+    capsys.readouterr()
+    dump = tmp_path / "stopper.txt"
+    text, found = re.subn(r"^(tree nodes=\d+ features=)1$", r"\g<1>2", dump.read_text(),
+                          flags=re.M)
+    assert found == 6
+    dump.write_text(text)
+
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("an ensemble was built before the tree width was checked")
+
+    monkeypatch.setattr(ExperimentConfig, "make_ensemble", no_ensemble)
+    monkeypatch.setattr(ExperimentConfig, "ensemble_chunks", no_ensemble)
+    assert main(["evaluate", "--stopper", str(dump), *common]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "features=2" in err and "width 1" in err
+    assert not (tmp_path / "valuation.csv").exists()
+
+
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
 def test_non_finite_threshold_exits_with_error(tmp_path, capsys, threshold):
     common = ["--set", "k_train=400", "--set", "k_test=60", "--set", "steps=3",

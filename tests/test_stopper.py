@@ -168,22 +168,22 @@ THRESHOLDS = st.sampled_from([-2.5, -1.0, -0.0, 0.0, 5e-324, 1.0, np.nextafter(1
 @st.composite
 def random_tree(draw, n_features=1, max_depth=4):
     """A random tree; its thresholds need not be ordered down the tree."""
-    nodes = []  # [feature, threshold, left, right, leaf weight] per node
+    nodes = []  # preorder (feature, threshold, left, right, leaf weight)
 
     def node(depth):
         i = len(nodes)
-        nodes.append([-1, 0.0, -1, -1, -1])
+        nodes.append(None)
         if depth < max_depth and draw(st.booleans()):
             feature = draw(st.integers(0, n_features - 1))
             threshold = draw(THRESHOLDS | st.floats(-4.0, 4.0))
             left = node(depth + 1)
-            nodes[i][:4] = [feature, threshold, left, node(depth + 1)]
+            nodes[i] = (feature, threshold, left, node(depth + 1), 0)
         else:
-            nodes[i][4] = draw(st.integers(0, 1))
+            nodes[i] = (-1, 0.0, -1, -1, draw(st.integers(0, 1)))
         return i
 
     node(0)
-    return CartTree(*zip(*nodes), n_features=n_features)
+    return CartTree(nodes, n_features=n_features)
 
 
 @settings(max_examples=150, deadline=None)
@@ -193,8 +193,7 @@ def test_interval_table_votes_like_every_tree(data, bags, steps):
     trees = [[data.draw(random_tree()) for _ in range(steps)] for _ in range(bags)]
     stopper = BaggedStopper(trees, "raw", spec)
     for n in range(steps):
-        thresholds = np.concatenate([t.threshold[t.feature >= 0] for t in
-                                     (row[n] for row in trees)])
+        thresholds = np.array([thr for row in trees for f, thr, *_ in row[n].nodes if f >= 0])
         extremes = [thresholds.min() - 1, thresholds.max() + 1] if thresholds.size else []
         x = np.concatenate([thresholds, np.nextafter(thresholds, -np.inf),
                             np.nextafter(thresholds, np.inf),
@@ -217,8 +216,8 @@ def test_stops_is_the_majority_of_every_tree(data, bags, n_features, mirrored):
     if mirrored:
         for b in range(bags // 2, 2 * (bags // 2)):
             t = trees[b - bags // 2]
-            trees[b] = CartTree(t.feature, t.threshold, t.left, t.right,
-                                np.where(t.feature < 0, 1 - t.leaf_weight, 0), n_features)
+            trees[b] = CartTree([(f, thr, lo, hi, 1 - leaf if f < 0 else 0)
+                                 for f, thr, lo, hi, leaf in t.nodes], n_features)
     stopper = BaggedStopper([[tree] for tree in trees], "raw", RewardSpec("put", 0.05, 100.0, 1.0, 1))
     x = np.array(data.draw(st.lists(st.lists(THRESHOLDS | st.floats(-4.0, 4.0),
                                              min_size=n_features, max_size=n_features),
@@ -532,8 +531,8 @@ def test_parse_rejects_wrong_reward_spec():
 def split_dump():
     # a 2-bag, 4-step dump whose first tree splits at 1.0 and the rest are leaves
     stopper = constant_stopper(0, 2, 4, PUT4)
-    stopper.trees[0][0] = CartTree([0, -1, -1], [1.0, 0.0, 0.0], [1, -1, -1],
-                                   [2, -1, -1], [-1, 1, 0], 1)
+    stopper.trees[0][0] = CartTree([(0, 1.0, 1, 2, 0), (-1, 0.0, -1, -1, 1),
+                                    (-1, 0.0, -1, -1, 0)], 1)
     return stopper.serialize()
 
 
