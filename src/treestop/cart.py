@@ -334,4 +334,7 @@ def grow(samples: DeltaSamples, config: GrowConfig) -> CartTree:
         return node
 
     build(np.arange(len(samples)), samples.orders, 0)
+    # ``build`` holds itself through its closure; without this cycle break the
+    # node arrays above would live until the cyclic garbage collector runs
+    del build
     return CartTree(nodes, points.shape[1])

@@ -29,7 +29,8 @@ from treestop import references
 from treestop.config import ConfigError, ExperimentConfig, load_config
 from treestop.ensemble import TRAIN_LABEL, TEST_LABEL, dump_csv, generate_gbm
 from treestop.reward import MAX_CALL_BARRIER, PUT
-from treestop.stopper import BaggedStopper, StopResult, apply, check_compat, train
+from treestop.stopper import (BaggedStopper, StopResult, apply, check_compat, feature_block,
+                              train)
 from treestop.valuation import (
     LS_TEST,
     V_TEST,
@@ -185,9 +186,12 @@ def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = T
     when the stopper's trees read one feature.  The config, the path counts
     of the ensembles the run simulates, the feature mode, the cfg.with_ls
     scope and a loaded stopper's bags, feature mode and tree width are checked
-    before any ensemble is simulated.  The training ensemble is held whole only to fit
-    the stopper or the cfg.with_ls regression; every valuation streams its
-    ensemble in path chunks (``_value_pass``).  Returns the reports by kind.
+    before any ensemble is simulated.  The training ensemble is held whole
+    for the cfg.with_ls regression and for a fit whose features are at least
+    as wide as the states (raw, raw_plus_reward, and four_features at few
+    assets); a fit on narrower features streams it in path chunks into a
+    feature block (``stopper.feature_block``), and every valuation streams
+    its ensemble in path chunks (``_value_pass``).  Returns the reports by kind.
     """
     fit = stopper_file is None
     with_ls = value and cfg.with_ls
@@ -226,9 +230,16 @@ def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = T
         with open(os.path.join(cfg.out, "config_resolved.cfg"), "w") as fh:
             fh.write(cfg.serialize())
     if fit or with_ls:
-        paths_train = cfg.make_ensemble(TRAIN_LABEL)
+        # the LS baseline reads the ensemble whole, and a block of features at
+        # least as wide as the states would take more memory than the ensemble
+        held = with_ls or width >= probe.data.shape[2]
+        paths_train = cfg.make_ensemble(TRAIN_LABEL) if held else None
         if fit:
-            stopper = train(paths_train, reward_spec, train_config)
+            # a feature block is a temporary, dropped once train returns
+            stopper = train(paths_train if held else
+                            feature_block(cfg.ensemble_chunks(TRAIN_LABEL), cfg.k_train, width,
+                                          reward_spec, cfg.feature_mode),
+                            reward_spec, train_config)
             with open(os.path.join(cfg.out, "stopper.txt"), "w") as fh:
                 fh.write(_provenance(cfg))
                 fh.write(stopper.serialize())

@@ -22,8 +22,8 @@ import numpy as np
 
 from treestop.cart import CartTree, GrowConfig, grow, removal
 from treestop.ensemble import PathEnsemble
-from treestop.reward import (FEATURE_MODES, MAX_CALL_BARRIER, PUT, REWARD_COLUMN, RewardSpec,
-                             features, reward)
+from treestop.reward import (FEATURE_MODES, FOUR_FEATURES, MAX_CALL_BARRIER, PUT,
+                             RAW_PLUS_REWARD, REWARD_COLUMN, RewardSpec, features, reward)
 
 
 @dataclass(frozen=True)
@@ -230,8 +230,39 @@ def check_compat(paths: PathEnsemble, spec: RewardSpec, feature_mode: str) -> in
     return features(feature_mode, spec, 0, paths.state_at(0)[:1]).shape[1]
 
 
-def train(paths: PathEnsemble, reward_spec: RewardSpec, config: TrainConfig) -> BaggedStopper:
-    """Fit the bagged stopper on a training ensemble.
+def feature_block(chunks, num_paths: int, width: int, reward_spec: RewardSpec,
+                  feature_mode: str) -> np.ndarray:
+    """The (N+1, num_paths, width) features of the ensemble ``chunks`` make up, in path order.
+
+    ``chunks`` yields consecutive path chunks of one ensemble, as
+    ``gbm_chunks`` does.  The block is allocated at its full size before the
+    first chunk is drawn, so an impossible size fails at once.  Each chunk
+    writes every step's features into its rows and is dropped before the next
+    one is drawn, so building the block holds the block and one chunk.
+    """
+    block = np.empty((reward_spec.steps + 1, num_paths, width))
+    start = 0
+    for chunk in chunks:
+        rows = slice(start, start + chunk.num_paths)
+        for n in range(reward_spec.steps + 1):
+            block[n, rows] = features(feature_mode, reward_spec, n, chunk.state_at(n))
+        start = rows.stop
+        del chunk  # free these paths before the next chunk is simulated
+    if start != num_paths:
+        raise ValueError(f"the chunks hold {start} paths, the block {num_paths}")
+    return block
+
+
+def train(paths: PathEnsemble | np.ndarray, reward_spec: RewardSpec,
+          config: TrainConfig) -> BaggedStopper:
+    """Fit the bagged stopper on a training ensemble or on its feature block.
+
+    ``paths`` is either the ensemble, whose step-n features are computed when
+    step n is fitted, so training adds one step's features to it and never a
+    copy; or an (N+1, K, F) block whose ``[n, k]`` row holds path k's step-n
+    features in ``config.feature_mode`` (``feature_block``), so the states
+    themselves are never held.  Features and rewards are row-wise, so both
+    fit the same stopper byte for byte.
 
     Paths are shuffled with a seeded Philox stream, truncated to a multiple of
     the bag count, and cut into contiguous equally sized bags.  The bagged
@@ -241,31 +272,46 @@ def train(paths: PathEnsemble, reward_spec: RewardSpec, config: TrainConfig) -> 
     Steps run strictly backward.  Within a step each bag grows its tree in
     turn, then the leave-one-bag-out vote moves each path's continuation stop.
     """
-    check_compat(paths, reward_spec, config.feature_mode)
+    mode = config.feature_mode
+    if isinstance(paths, PathEnsemble):
+        check_compat(paths, reward_spec, mode)
+        K_all = paths.num_paths
+
+        def step(n):
+            return features(mode, reward_spec, n, paths.state_at(n))
+    else:
+        if paths.ndim != 3 or paths.shape[0] != reward_spec.steps + 1:
+            raise ValueError(f"expected a ({reward_spec.steps + 1}, K, F) feature block, "
+                             f"got shape {paths.shape}")
+        # four_features is (reward, m1, m2, m1 - m2); raw_plus_reward appends the reward
+        F = paths.shape[2]
+        if (mode == FOUR_FEATURES and F != 4) or (mode == RAW_PLUS_REWARD and F < 2):
+            raise ValueError(f"a {mode} feature block cannot have {F} columns")
+        K_all, step = paths.shape[1], paths.__getitem__
     B = config.bags
-    K_all = paths.num_paths
     if K_all < B:
         raise ValueError(f"need at least {B} paths for {B} bags")
-    N = paths.num_steps
+    N = reward_spec.steps
     s = K_all // B
     K = B * s
     rng = np.random.Generator(np.random.Philox(config.seed_bagging))
     order = np.sort(rng.permutation(K_all)[:K].reshape(B, s), axis=1).ravel()
     bags = [slice(b * s, (b + 1) * s) for b in range(B)]
     own = np.repeat(np.arange(B), s)
+    column = REWARD_COLUMN.get(mode)  # None: the features are the states
+
+    def rewards(n, feats):
+        return reward(reward_spec, n, feats) if column is None else feats[:, column]
 
     # Rewards are evaluated per step; the reward at each path's current
     # continuation stop is carried along instead of materialising a K x (N+1)
     # matrix.
-    u_at_tau = reward(reward_spec, N, paths.state_at(N))[order]
-    column = REWARD_COLUMN.get(config.feature_mode)  # None: the features hold no reward
-    stopper = BaggedStopper([[None] * N for _ in range(B)], config.feature_mode, reward_spec)
+    u_at_tau = rewards(N, step(N))[order]
+    stopper = BaggedStopper([[None] * N for _ in range(B)], mode, reward_spec)
 
     for n in range(N - 1, -1, -1):
-        feats_n = features(config.feature_mode, reward_spec, n, paths.state_at(n))[order]
-        feats_n = np.asfortranarray(feats_n)  # contiguous split columns for the LOO vote
-        u_n = (reward(reward_spec, n, paths.state_at(n))[order] if column is None
-               else feats_n[:, column])
+        feats_n = np.asfortranarray(step(n)[order])  # contiguous split columns for the LOO vote
+        u_n = rewards(n, feats_n)
         for b, rows in enumerate(bags):
             samples = removal(feats_n[rows], (u_at_tau[rows] - u_n[rows]) / K)
             stopper.trees[b][n] = grow(samples, config.grow)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +10,7 @@ from treestop.cart import (
     DELTA,
     PROTOTYPE,
     CartTree,
+    DeltaSamples,
     GrowConfig,
     grow,
     removal,
@@ -237,6 +241,30 @@ def test_min_node_size_forces_leaf():
     tree = grow(s, GrowConfig(min_node_size=4))
     assert tree.n_nodes == 1
     assert tree.predict(np.array([[1.0]]))[0] == 1
+
+
+def test_grow_frees_its_arrays_without_the_cycle_collector():
+    # the per-point weights grow computes from its samples die with the call,
+    # by reference counting alone: nothing grow builds keeps them in a cycle
+    weights = []
+
+    class Recorded(DeltaSamples):
+        @property
+        def weight(self):
+            w = super().weight
+            weights.append(weakref.ref(w))
+            return w
+
+    rng = np.random.Generator(np.random.Philox(8))
+    s = removal(rng.uniform(size=(200, 2)), rng.normal(size=200))
+    s = Recorded(s.points, s.delta, s.mult, s.orders)
+    gc.disable()
+    try:
+        tree = grow(s, GrowConfig(min_node_size=2))
+        assert tree.n_nodes > 1 and len(weights) == 1
+        assert weights[0]() is None
+    finally:
+        gc.enable()
 
 
 def leaf_of(tree, x):

@@ -17,7 +17,7 @@ from treestop.config import (
     parse_config_text,
 )
 from treestop.reward import reward
-from treestop.stopper import BaggedStopper
+from treestop.stopper import BaggedStopper, train
 
 
 SMALL = dict(kind="put", dim=1, x0=95.0, sigma=0.3, maturity=1.0, steps=6,
@@ -26,6 +26,21 @@ SMALL = dict(kind="put", dim=1, x0=95.0, sigma=0.3, maturity=1.0, steps=6,
 
 def small_config(out, **extra):
     return ExperimentConfig(**{**SMALL, **extra, "out": str(out)})
+
+
+def record_chunks(monkeypatch):
+    """Spy on ``ExperimentConfig.ensemble_chunks``: the returned list gets the
+    (label, path count) of every chunk drawn from then on."""
+    drawn = []
+    chunks_of = ExperimentConfig.ensemble_chunks
+
+    def recorded(self, label):
+        for chunk in chunks_of(self, label):
+            drawn.append((label, chunk.num_paths))
+            yield chunk
+
+    monkeypatch.setattr(ExperimentConfig, "ensemble_chunks", recorded)
+    return drawn
 
 
 # ---------------------------------------------------------------------------
@@ -142,21 +157,54 @@ def test_chunked_valuation_keeps_every_output_byte(tmp_path, monkeypatch, extra)
     # 400 paths in chunks of 133: three full chunks and a 1-path last chunk
     width = cfg.dim + (cfg.kind == "max_call_barrier")
     monkeypatch.setattr(ensemble, "CHUNK_BYTES", 133 * 8 * (cfg.steps + 1) * width)
-    sizes = []
-    chunks_of = ExperimentConfig.ensemble_chunks
-
-    def recorded(self, label):
-        for chunk in chunks_of(self, label):
-            sizes.append((label, chunk.num_paths))
-            yield chunk
-
-    monkeypatch.setattr(ExperimentConfig, "ensemble_chunks", recorded)
+    sizes = record_chunks(monkeypatch)
     run_experiment(cfg)
     assert sizes == [(label, k) for label in ("training", "test") for k in (133, 133, 133, 1)]
     chunked = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
     assert chunked.keys() == one_chunk.keys()
     for name in one_chunk:
         assert chunked[name] == one_chunk[name], name
+
+
+TRAINING_KINDS = {
+    "put": ["kind=put", "x0=95.0", "sigma=0.3"],
+    "max_call": ["kind=max_call", "mu=-0.05", "maturity=3.0"],
+    "max_call_barrier": ["kind=max_call_barrier", "maturity=3.0", "barrier=150.0"],
+}
+# four_features is narrower than these states (5 columns each), so the fit streams
+STREAMED_FITS = [("max_call", 5, "four_features"), ("max_call_barrier", 4, "four_features")]
+# these features are at least as wide as the states, so the fit holds the ensemble
+HELD_FITS = [("put", 1, "raw"), ("put", 1, "raw_plus_reward"), ("max_call", 3, "raw"),
+             ("max_call", 3, "raw_plus_reward"), ("max_call", 3, "four_features"),
+             ("max_call_barrier", 3, "raw"), ("max_call_barrier", 3, "raw_plus_reward")]
+
+
+@pytest.mark.parametrize("kind, dim, mode, chunk_paths", [
+    *[pytest.param(kind, dim, mode, chunk_paths, id=f"{kind}-d{dim}-{mode}-{name}")
+      for kind, dim, mode in STREAMED_FITS
+      for chunk_paths, name in [(1, "1_path"), (7, "7_paths"), (17, "ragged")]],
+    *[pytest.param(kind, dim, mode, None, id=f"{kind}-d{dim}-{mode}-held")
+      for kind, dim, mode in HELD_FITS],
+])
+def test_chunked_training_keeps_the_stopper_bytes(tmp_path, monkeypatch, kind, dim, mode,
+                                                  chunk_paths):
+    # a fit on features narrower than the states streams the 49 training paths
+    # chunk by chunk into its feature block, any other fit holds the ensemble,
+    # and both dump the stopper that train fits on the whole ensemble
+    settings = [*TRAINING_KINDS[kind], f"dim={dim}", f"feature_mode={mode}", "k_train=49",
+                "steps=4", "bags=3", "max_depth=4", "min_node_size=3"]
+    cfg = load_config(None, settings)
+    whole = train(cfg.make_ensemble("training"), cfg.reward_spec(), cfg.train_config())
+    if chunk_paths:
+        width = dim + (kind == "max_call_barrier")
+        monkeypatch.setattr(ensemble, "CHUNK_BYTES", chunk_paths * 8 * (cfg.steps + 1) * width)
+    sizes = record_chunks(monkeypatch)
+    assert main(["train", *overrides(settings), "--out", str(tmp_path)]) == 0
+    streamed = (tmp_path / "stopper.txt").read_text()
+    assert streamed.partition("\n")[2] == whole.serialize()
+    chunked = ([("training", min(chunk_paths, 49 - start)) for start in range(0, 49, chunk_paths)]
+               if chunk_paths else [])
+    assert sizes == chunked
 
 
 def test_ls_unsupported_for_multidim(tmp_path):
@@ -498,18 +546,26 @@ def test_invalid_config_exits_nonzero(tmp_path, capsys):
     assert "steps" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["train", "evaluate"])
-def test_impossible_size_exits_with_error(tmp_path, capsys, command):
-    # numpy refuses the allocation outright, before any path of that ensemble is drawn
+@pytest.mark.parametrize("command, settings", [
+    ("train", []),
+    ("evaluate", []),
+    ("train", ["kind=max_call", "dim=5", "feature_mode=four_features"]),
+], ids=["train", "evaluate", "train_four_features"])
+def test_impossible_size_exits_with_error(tmp_path, capsys, monkeypatch, command, settings):
+    # numpy refuses the allocation outright, before any path of that ensemble
+    # is drawn: a four_features fit allocates its whole feature block first
     common = ["--set", "k_train=300", "--set", "k_test=300", "--set", "steps=5",
-              "--set", "bags=3", "--out", str(tmp_path)]
+              "--set", "bags=3", *overrides(settings), "--out", str(tmp_path)]
     huge = "k_train=1000000000000" if command == "train" else "k_test=1000000000000"
     if command == "evaluate":
         assert main(["train", *common]) == 0
         common += ["--stopper", str(tmp_path / "stopper.txt")]
     capsys.readouterr()
+    drawn = record_chunks(monkeypatch)
     assert main([command, *common, "--set", huge]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    refused = "training" if command == "train" else "test"
+    assert all(label != refused for label, _ in drawn)
 
 
 def test_evaluate_memory_stays_below_half_the_test_ensemble(tmp_path):
@@ -563,6 +619,31 @@ def test_barrier_evaluate_memory_stays_below_one_and_a_half_chunks(barrier_evalu
     # one chunk, one block of normals and one step's features and votes; the
     # chunk's whole normals buffer next to it (+0.98 chunk) breaks the bound
     assert barrier_evaluate_peak < 1.5 * ensemble.CHUNK_BYTES
+
+
+@pytest.mark.parametrize("settings, state_width, bound", [
+    # a four_features fit holds its (N+1, K, 4) feature block, 0.44 of this
+    # 9-column ensemble, plus one chunk (0.22) and one step's gathered features,
+    # about 0.69 in all; holding the raw ensemble as well (+1.0) breaks the bound
+    (["kind=max_call_barrier", "dim=8", "mu=0.05", "maturity=3.0", "steps=53",
+      "barrier=170.0", "feature_mode=four_features"], 9, 0.8),
+    # raw_plus_reward features are twice as wide as the put's states, so the fit
+    # holds the ensemble plus one step's working arrays, about 1.4 of it;
+    # streaming into a block twice its size plus a chunk (3.3) breaks the bound
+    (["kind=put", "steps=50", "feature_mode=raw_plus_reward"], 1, 2.0),
+], ids=["streamed_barrier", "held_put_raw_plus_reward"])
+def test_training_memory_stays_within_its_share_of_the_ensemble(tmp_path, settings,
+                                                                 state_width, bound):
+    k_train = 20000
+    cfg = load_config(None, [*settings, f"k_train={k_train}", "bags=10"])
+    tracemalloc.start()
+    try:
+        assert main(["train", *overrides(settings), "--set", f"k_train={k_train}",
+                     "--set", "bags=10", "--out", str(tmp_path)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * k_train * (cfg.steps + 1) * state_width * 8
 
 
 def test_missing_stopper_file_exits_nonzero(tmp_path):

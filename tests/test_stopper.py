@@ -14,6 +14,7 @@ from treestop.stopper import (
     BaggedStopper,
     TrainConfig,
     apply,
+    feature_block,
     first_hit,
     train,
 )
@@ -368,7 +369,7 @@ def test_training_is_deterministic():
 
 def test_training_memory_stays_below_a_quarter_of_the_ensemble():
     # training holds one step's gathered features and rewards at a time, about
-    # 0.14 of this ensemble; a bag-ordered copy of the whole ensemble (+1.0) or
+    # 0.04 of this ensemble; a bag-ordered copy of the whole ensemble (+1.0) or
     # every step's features held at once (+0.47) breaks the bound
     from treestop.config import ExperimentConfig
 
@@ -412,9 +413,27 @@ def test_step_count_mismatch_rejected():
     bad = RewardSpec("put", 0.05, 100.0, 1.0, 5)
     with pytest.raises(ValueError):
         train(paths, bad, TrainConfig(2, GrowConfig(), "raw", 1))
+    # raw features are the states, so the ensemble's data is its feature block
+    with pytest.raises(ValueError, match="feature block"):
+        train(paths.data, bad, TrainConfig(2, GrowConfig(), "raw", 1))
     # replayed unchecked, the last step's reward would be discounted as if N were 5
     with pytest.raises(ValueError, match="step count"):
         first_hit(paths, bad, lambda n, states: np.zeros(states.shape[0], dtype=bool))
+
+
+@pytest.mark.parametrize("mode", ["four_features", "raw_plus_reward"])
+def test_feature_block_too_narrow_for_its_mode_rejected(mode):
+    # read as features, a raw state block would lend its only column as the reward
+    paths = small_put_ensemble(steps=4)
+    with pytest.raises(ValueError, match=f"a {mode} feature block cannot have 1 columns"):
+        train(paths.data, PUT4, TrainConfig(2, GrowConfig(), mode, 1))
+
+
+def test_feature_block_short_of_paths_rejected():
+    # chunks that fall short would leave the block's last rows uninitialised
+    paths = small_put_ensemble(steps=4)
+    with pytest.raises(ValueError, match="the chunks hold 64 paths, the block 65"):
+        feature_block(iter([paths]), 65, 2, PUT4, "raw_plus_reward")
 
 
 # ---------------------------------------------------------------------------
