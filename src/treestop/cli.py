@@ -147,7 +147,9 @@ def _value_pass(cfg: ExperimentConfig, label: str, stopper: BaggedStopper,
                 per_path: dict | None = None) -> tuple[StopResult, dict]:
     """Simulate the ``label`` ensemble chunk by chunk and value each chunk as it comes.
 
-    Each chunk is applied to, then ``per_path[name](chunk, chunk_result)`` gives
+    ``gbm_chunks`` simulates the next chunk on a worker thread while this one
+    is valued, so the pass holds two chunks of half ``CHUNK_BYTES``.  Each
+    chunk is applied to, then ``per_path[name](chunk, chunk_result)`` gives
     that chunk's rows of the per-path vector ``name``.  Those vectors and the
     stop result's are allocated at length K before the first chunk, so an
     impossible K fails at once, and are filled at the chunk's offset;
@@ -170,7 +172,7 @@ def _value_pass(cfg: ExperimentConfig, label: str, stopper: BaggedStopper,
         for name, of_chunk in per_path.items():
             filled[name][rows] = of_chunk(chunk, res)
         start = rows.stop
-        del chunk  # free these paths before the next chunk is simulated
+        del chunk  # free these paths before the chunk after next is allocated
     return replace(res, stop_step=stop_step, realized=realized, best=best), filled
 
 
@@ -191,7 +193,9 @@ def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = T
     as wide as the states (raw, raw_plus_reward, and four_features at few
     assets); a fit on narrower features streams it in path chunks into a
     feature block (``stopper.feature_block``), and every valuation streams
-    its ensemble in path chunks (``_value_pass``).  Returns the reports by kind.
+    its ensemble in path chunks (``_value_pass``); a streamed pass holds two
+    chunks of half ``CHUNK_BYTES``, the next one simulated on a worker thread
+    while this one is used.  Returns the reports by kind.
     """
     fit = stopper_file is None
     with_ls = value and cfg.with_ls

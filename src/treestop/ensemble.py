@@ -22,8 +22,10 @@ fixed SIMD dispatch level, not across every machine: numpy picks its float64
 the others (see the README's Determinism section).
 
 ``generate_gbm`` fills one whole ensemble; ``gbm_chunks`` yields the same
-paths as separate step-major ensembles of at most ``CHUNK_BYTES``, so a caller
-that only values them holds one chunk and one block of normals.
+paths as separate step-major ensembles of at most half ``CHUNK_BYTES``, the
+next one simulated on a worker thread while the caller uses this one, so a
+caller that only values them holds two chunks of half ``CHUNK_BYTES`` and one
+block of normals.
 """
 
 from __future__ import annotations
@@ -38,10 +40,12 @@ from treestop.reward import asset_max
 TRAIN_LABEL = "training"
 TEST_LABEL = "test"
 
-# Path data per chunk, what a valuation holds.  Smaller chunks hold less memory
-# but pay the per-chunk Python overhead more often: N steps x B tree walks, each
-# over the rows whose majority vote is still open, for a multi-feature stopper;
-# N table lookups for a one-feature stopper (tables are built on the first chunk).
+# Path data a streamed pass holds: two chunks of half of it, the one the caller
+# uses and the next one, simulated on a worker thread meanwhile.  Smaller chunks
+# hold less memory but pay the per-chunk Python overhead more often: N steps x B
+# tree walks, each over the rows whose majority vote is still open, for a
+# multi-feature stopper; N table lookups for a one-feature stopper (tables are
+# built on the first chunk).
 CHUNK_BYTES = 16 * 2**20
 BLOCK_BYTES = 2**20  # normals per block, small enough to stay in cache
 
@@ -160,8 +164,8 @@ def _check_request(num_paths: int, barrier: float | None) -> None:
 
 
 def _chunk_starts(spec: GbmSpec, num_paths: int, width: int) -> range:
-    """First path of every chunk: as many paths as ``CHUNK_BYTES`` of path data holds."""
-    per_chunk = max(1, CHUNK_BYTES // (8 * (spec.steps + 1) * width))
+    """First path of every chunk: as many paths as half ``CHUNK_BYTES`` of path data holds."""
+    per_chunk = max(1, CHUNK_BYTES // (2 * 8 * (spec.steps + 1) * width))
     return range(0, num_paths, per_chunk)
 
 
@@ -223,18 +227,42 @@ def gbm_chunks(spec: GbmSpec, num_paths: int, seed: int, label: str = TRAIN_LABE
     """The paths of ``generate_gbm(spec, num_paths, seed, label, barrier)``, chunk by chunk.
 
     Each chunk is a step-major ensemble of consecutive paths, allocated at its
-    own size, at most ``CHUNK_BYTES`` of path data (at least one path);
+    own size, at most half ``CHUNK_BYTES`` of path data (at least one path);
     concatenated along the path axis the chunks equal ``generate_gbm``'s data
-    byte for byte.  The generator keeps no reference to a chunk it has yielded.
+    byte for byte.  While the caller holds one chunk, one worker thread
+    simulates the next one, so a pass holds two chunks: the one in use and the
+    one being filled.  Only the worker draws from the stream, in chunk order.
+    Each chunk's array is allocated here, in the caller's thread, so that it
+    comes from the caller's malloc arena.  An error in simulating a chunk is
+    raised by the ``next()`` that would have returned it, and closing the
+    generator waits for the worker to end.  The generator drops its reference
+    to a yielded chunk before it allocates the chunk after next.
     """
+    # imported here: concurrent.futures loads logging, whose import time and
+    # memory a command that streams no ensemble (--help, a held fit) need not pay
+    from concurrent.futures import ThreadPoolExecutor
+
     _check_request(num_paths, barrier)
     width = spec.dim + (barrier is not None)
     rng = np.random.Generator(np.random.Philox(seed))
     starts = _chunk_starts(spec, num_paths, width)
-    for start in starts:
-        shape = (spec.steps + 1, min(starts.step, num_paths - start), width)
-        yield PathEnsemble(_fill(np.empty(shape), rng, spec, barrier),
-                           seed, label, has_barrier_indicator=barrier is not None)
+
+    def empty(start: int) -> np.ndarray:
+        return np.empty((spec.steps + 1, min(starts.step, num_paths - start), width))
+
+    def filled(out: np.ndarray) -> PathEnsemble:
+        # runs on the worker thread, so it calls none of the layer functions a
+        # span tracer wraps (perfbench/trace_child.py keeps one span stack)
+        return PathEnsemble(_fill(out, rng, spec, barrier), seed, label,
+                            has_barrier_indicator=barrier is not None)
+
+    with ThreadPoolExecutor(1) as worker:
+        pending = worker.submit(filled, empty(0))
+        for start in starts[1:]:
+            chunk = pending.result()
+            pending = worker.submit(filled, empty(start))
+            yield chunk
+        yield pending.result()
 
 
 def dump_csv(paths: PathEnsemble, path) -> None:

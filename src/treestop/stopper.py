@@ -238,7 +238,9 @@ def feature_block(chunks, num_paths: int, width: int, reward_spec: RewardSpec,
     ``gbm_chunks`` does.  The block is allocated at its full size before the
     first chunk is drawn, so an impossible size fails at once.  Each chunk
     writes every step's features into its rows and is dropped before the next
-    one is drawn, so building the block holds the block and one chunk.
+    one is asked for, so building the block holds the block and two chunks of
+    half ``CHUNK_BYTES``: this one, and the next, which ``gbm_chunks``
+    simulates on a worker thread meanwhile.
     """
     block = np.empty((reward_spec.steps + 1, num_paths, width))
     start = 0
@@ -247,7 +249,7 @@ def feature_block(chunks, num_paths: int, width: int, reward_spec: RewardSpec,
         for n in range(reward_spec.steps + 1):
             block[n, rows] = features(feature_mode, reward_spec, n, chunk.state_at(n))
         start = rows.stop
-        del chunk  # free these paths before the next chunk is simulated
+        del chunk  # free these paths before the chunk after next is allocated
     if start != num_paths:
         raise ValueError(f"the chunks hold {start} paths, the block {num_paths}")
     return block

@@ -1,6 +1,7 @@
 import hashlib
 import re
 import shutil
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treestop import ensemble
+from treestop import cli, ensemble
 from treestop.cli import benchmark_grid, main, run_experiment
 from treestop.config import (
     ConfigError,
@@ -155,8 +156,9 @@ def test_chunked_valuation_keeps_every_output_byte(tmp_path, monkeypatch, extra)
     shutil.rmtree(tmp_path / "run")
 
     # 400 paths in chunks of 133: three full chunks and a 1-path last chunk
+    # (a chunk holds half CHUNK_BYTES of path data)
     width = cfg.dim + (cfg.kind == "max_call_barrier")
-    monkeypatch.setattr(ensemble, "CHUNK_BYTES", 133 * 8 * (cfg.steps + 1) * width)
+    monkeypatch.setattr(ensemble, "CHUNK_BYTES", 2 * 133 * 8 * (cfg.steps + 1) * width)
     sizes = record_chunks(monkeypatch)
     run_experiment(cfg)
     assert sizes == [(label, k) for label in ("training", "test") for k in (133, 133, 133, 1)]
@@ -197,7 +199,7 @@ def test_chunked_training_keeps_the_stopper_bytes(tmp_path, monkeypatch, kind, d
     whole = train(cfg.make_ensemble("training"), cfg.reward_spec(), cfg.train_config())
     if chunk_paths:
         width = dim + (kind == "max_call_barrier")
-        monkeypatch.setattr(ensemble, "CHUNK_BYTES", chunk_paths * 8 * (cfg.steps + 1) * width)
+        monkeypatch.setattr(ensemble, "CHUNK_BYTES", 2 * chunk_paths * 8 * (cfg.steps + 1) * width)
     sizes = record_chunks(monkeypatch)
     assert main(["train", *overrides(settings), "--out", str(tmp_path)]) == 0
     streamed = (tmp_path / "stopper.txt").read_text()
@@ -568,8 +570,38 @@ def test_impossible_size_exits_with_error(tmp_path, capsys, monkeypatch, command
     assert all(label != refused for label, _ in drawn)
 
 
+@pytest.mark.parametrize("failing", ["simulate", "vote"])
+def test_evaluate_failing_mid_pass_exits_with_error_and_ends_its_worker(tmp_path, capsys,
+                                                                       monkeypatch, failing):
+    # the simulation of chunk 1 fails, or the vote on chunk 0 fails while the
+    # worker simulates chunk 1: either way nothing is valued on a truncated
+    # ensemble, the run ends in error: with exit 2, and no thread is left behind
+    common = ["--set", "k_train=300", "--set", "k_test=300", "--set", "steps=5",
+              "--set", "bags=3", "--out", str(tmp_path)]
+    assert main(["train", *common]) == 0
+    capsys.readouterr()
+    # chunks of 100 paths, each half of CHUNK_BYTES
+    monkeypatch.setattr(ensemble, "CHUNK_BYTES", 2 * 100 * 8 * 6)
+    module, name = (ensemble, "_fill") if failing == "simulate" else (cli, "apply")
+    original, calls = getattr(module, name), []
+
+    def fails_once(*args):
+        calls.append(args)
+        if len(calls) == (2 if failing == "simulate" else 1):
+            raise ValueError(f"{failing} failed")
+        return original(*args)
+
+    monkeypatch.setattr(module, name, fails_once)
+    threads = threading.active_count()
+    rc = main(["evaluate", "--stopper", str(tmp_path / "stopper.txt"), *common])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {failing} failed\n"
+    assert not (tmp_path / "valuation.csv").exists()
+    assert threading.active_count() == threads
+
+
 def test_evaluate_memory_stays_below_half_the_test_ensemble(tmp_path):
-    # a streamed evaluate holds one path chunk and 24 bytes per test path,
+    # a streamed evaluate holds two path chunks and 24 bytes per test path,
     # never the whole 80 MB test ensemble
     k_test, steps, dim = 200000, 9, 5
     common = ["--set", "kind=max_call", "--set", f"dim={dim}", "--set", "mu=-0.05",
@@ -589,12 +621,12 @@ def test_evaluate_memory_stays_below_half_the_test_ensemble(tmp_path):
 
 @pytest.fixture(scope="module")
 def barrier_evaluate_peak(tmp_path_factory):
-    """tracemalloc peak of evaluating a barrier-d8-like config of five chunks,
-    measured once for both chunk bounds below."""
+    """tracemalloc peak of evaluating a barrier-d8-like config of ten chunks
+    (five CHUNK_BYTES of test paths), measured once for both bounds below."""
     out = tmp_path_factory.mktemp("barrier_guard")
     k_test, steps, dim = 20000, 53, 8
-    per_chunk = ensemble.CHUNK_BYTES // (8 * (steps + 1) * (dim + 1))
-    assert -(-k_test // per_chunk) == 5
+    per_chunk = ensemble.CHUNK_BYTES // (2 * 8 * (steps + 1) * (dim + 1))
+    assert -(-k_test // per_chunk) == 10
     common = ["--set", "kind=max_call_barrier", "--set", f"dim={dim}", "--set", "mu=0.05",
               "--set", "maturity=3.0", "--set", f"steps={steps}", "--set", "barrier=170.0",
               "--set", "feature_mode=four_features", "--set", "k_train=2000",
@@ -609,22 +641,25 @@ def barrier_evaluate_peak(tmp_path_factory):
 
 
 def test_barrier_evaluate_memory_stays_below_two_and_a_half_chunks(barrier_evaluate_peak):
-    # a streamed evaluate of this config peaks at about 1.13 chunks;
-    # a chunk kept past its iteration (+1 chunk), or a chunk's (N+1, k, 4)
-    # feature block kept while the next one is simulated (+0.44), breaks the bound
+    # a streamed evaluate of this config peaks at about 1.15 CHUNK_BYTES: two
+    # chunks of half of it, one valued and one simulated meanwhile; a chunk kept
+    # past its iteration (+0.4) is left to the bound below, and holding the
+    # test ensemble whole (+4.6) breaks this one
     assert barrier_evaluate_peak < 2.5 * ensemble.CHUNK_BYTES
 
 
 def test_barrier_evaluate_memory_stays_below_one_and_a_half_chunks(barrier_evaluate_peak):
-    # one chunk, one block of normals and one step's features and votes; the
-    # chunk's whole normals buffer next to it (+0.98 chunk) breaks the bound
+    # two chunks of half CHUNK_BYTES, one block of normals and one step's
+    # features and votes; a chunk kept past its iteration (about 1.54) or a
+    # chunk's whole normals buffer next to it (about 1.60) breaks the bound
     assert barrier_evaluate_peak < 1.5 * ensemble.CHUNK_BYTES
 
 
 @pytest.mark.parametrize("settings, state_width, bound", [
     # a four_features fit holds its (N+1, K, 4) feature block, 0.44 of this
-    # 9-column ensemble, plus one chunk (0.22) and one step's gathered features,
-    # about 0.69 in all; holding the raw ensemble as well (+1.0) breaks the bound
+    # 9-column ensemble, plus two chunks of half CHUNK_BYTES (0.22) and one
+    # step's gathered features, about 0.69 in all; holding the raw ensemble as
+    # well (+1.0) breaks the bound
     (["kind=max_call_barrier", "dim=8", "mu=0.05", "maturity=3.0", "steps=53",
       "barrier=170.0", "feature_mode=four_features"], 9, 0.8),
     # raw_plus_reward features are twice as wide as the put's states, so the fit

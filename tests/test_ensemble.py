@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -125,8 +126,10 @@ def gbm_cases(draw):
 
 
 def chunk_bytes_for(spec, barrier, chunk_paths):
-    """A CHUNK_BYTES value that makes every chunk hold ``chunk_paths`` paths."""
-    return chunk_paths * 8 * (spec.steps + 1) * (spec.dim + (barrier is not None))
+    """A CHUNK_BYTES value that makes every chunk hold ``chunk_paths`` paths.
+
+    A chunk holds half of CHUNK_BYTES: a pass holds two of them."""
+    return 2 * chunk_paths * 8 * (spec.steps + 1) * (spec.dim + (barrier is not None))
 
 
 @settings(max_examples=200, deadline=None)
@@ -184,8 +187,10 @@ MAXCALL_D5 = GbmSpec.symmetric(5, 100.0, -0.05, 0.2, 3.0, 9)
 
 
 def test_gbm_chunks_pass_holds_one_chunk_and_one_block():
-    # two full chunks and a short last one; a second chunk-sized buffer (the
-    # chunk's normals, or a compact copy of the last chunk) breaks the bound
+    # four full chunks of half CHUNK_BYTES and a short last one: the pass holds
+    # two chunks, the one in use and the one being simulated, and one block of
+    # normals (about 1.11); a third chunk (about 1.54) or a chunk's whole
+    # normals buffer (about 1.50) breaks the bound
     per_chunk = CHUNK_BYTES // (8 * 10 * 5)
 
     def drop_each():
@@ -193,6 +198,60 @@ def test_gbm_chunks_pass_holds_one_chunk_and_one_block():
             del chunk
 
     assert traced_peak(drop_each) < 1.25 * CHUNK_BYTES
+
+
+SMALL_SPEC = GbmSpec.symmetric(3, 100.0, 0.05, 0.3, 1.0, 6)
+
+
+def fill_spy(monkeypatch, on_call):
+    """Replace ``ensemble._fill``: ``on_call(i)`` runs as chunk i starts filling."""
+    fill, calls = ensemble._fill, []
+
+    def spied(out, rng, spec, barrier):
+        on_call(len(calls))
+        calls.append(out.shape[1])
+        return fill(out, rng, spec, barrier)
+
+    monkeypatch.setattr(ensemble, "_fill", spied)
+    monkeypatch.setattr(ensemble, "CHUNK_BYTES", chunk_bytes_for(SMALL_SPEC, None, 7))
+    return calls
+
+
+def test_gbm_chunks_simulates_the_next_chunk_while_the_caller_holds_this_one(monkeypatch):
+    second_started = threading.Event()
+    fill_spy(monkeypatch, lambda i: i == 1 and second_started.set())
+    chunks = gbm_chunks(SMALL_SPEC, 40, seed=4)
+    first = next(chunks)
+    # the caller still holds chunk 0 and has not asked for chunk 1
+    assert second_started.wait(timeout=30)
+    assert first.num_paths == 7
+    chunks.close()
+
+
+def test_gbm_chunks_raises_a_later_chunk_error_from_next(monkeypatch):
+    def fail_third(i):
+        if i == 2:
+            raise ValueError("chunk 2 failed")
+
+    fill_spy(monkeypatch, fail_third)
+    chunks = gbm_chunks(SMALL_SPEC, 40, seed=4)
+    assert [next(chunks).num_paths for _ in range(2)] == [7, 7]
+    with pytest.raises(ValueError, match="chunk 2 failed"):
+        next(chunks)
+    # the pass ends there: no chunk after the failed one comes out
+    assert list(chunks) == []
+
+
+def test_closing_gbm_chunks_ends_its_worker_thread(monkeypatch):
+    calls = fill_spy(monkeypatch, lambda i: None)
+    threads = threading.active_count()
+    chunks = gbm_chunks(SMALL_SPEC, 40, seed=4)
+    next(chunks)
+    assert threading.active_count() == threads + 1
+    chunks.close()
+    assert threading.active_count() == threads
+    # the worker simulated the chunk after the one handed out, and no further
+    assert calls == [7, 7]
 
 
 def test_generate_gbm_holds_the_ensemble_and_one_block():

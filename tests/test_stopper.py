@@ -289,7 +289,7 @@ def test_first_hit_collects_the_reference_reward_and_path_maximum(monkeypatch, k
     paths = generate_gbm(gbm, num_paths, 8, "test", barrier)
     if chunk_paths is not None:
         monkeypatch.setattr(ensemble, "CHUNK_BYTES",
-                            chunk_paths * 8 * (steps + 1) * (dim + (barrier is not None)))
+                            2 * chunk_paths * 8 * (steps + 1) * (dim + (barrier is not None)))
     chunks = list(gbm_chunks(gbm, num_paths, 8, "test", barrier))
     assert len(chunks) == (1 if chunk_paths is None else 6)
     stop_step, realized, best = (np.concatenate(v) for v in

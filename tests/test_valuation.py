@@ -125,7 +125,8 @@ def test_ls_forward_matches_reference_loop_chunk_by_chunk(monkeypatch, extra):
     spec = cfg.reward_spec()
     rule = ls_fit(cfg.make_ensemble("training"), spec)
     assert (rule.stop_value is not None) == (cfg.sigma == 0.0)
-    monkeypatch.setattr(ensemble, "CHUNK_BYTES", 400 * 8 * (cfg.steps + 1))
+    # chunks of 400 paths hold half of CHUNK_BYTES
+    monkeypatch.setattr(ensemble, "CHUNK_BYTES", 2 * 400 * 8 * (cfg.steps + 1))
     chunks = list(cfg.ensemble_chunks("test"))
     assert [c.num_paths for c in chunks] == [400, 400, 201]
     for chunk in chunks:
