@@ -7,10 +7,12 @@ becomes one sample with the group-average delta and multiplicity m.  All
 score and leaf-sign computations then use the effective per-point weight
 m * delta, which preserves weighted sums over the original data.
 
-``removal`` sorts each dim of the input once, stably.  Duplicates are found
-from those sorts (ties go to the first occurrence), and the same sorts,
-filtered to the merged rows, become the samples' per-dim ``orders`` that
-``grow`` partitions down the tree without sorting again.
+``removal`` sorts each dim of the input once, by (coordinate, row index): the
+one order that does not depend on the sort algorithm or on numpy's SIMD
+dispatch level.  Duplicates are found from those sorts (ties go to the first
+occurrence), and the same sorts, filtered to the merged rows, become the
+samples' per-dim ``orders`` that ``grow`` partitions down the tree without
+sorting again.
 
 ``grow`` is the one node decision, with two splitters:
 
@@ -77,6 +79,34 @@ class DeltaSamples:
         return self.mult * self.delta
 
 
+def _column_order(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices sorting the 1-D ``x`` by (value, row index), and where they tie.
+
+    ``order`` equals ``np.argsort(x, kind="stable")``; ``tied[i]`` says whether
+    the i-th sorted value equals a sorted neighbour (so 0.0 ties -0.0).  The
+    default argsort, vectorised where the CPU allows, leaves equal values in
+    no defined order, so each tied run is put back in row-index order by
+    sorting the int64 keys ``run * m + row``.  The (value, row index) order is
+    unique, so it does not depend on the sort algorithm or the dispatch level.
+    The keys fit in int64 while m < 3e9.
+    """
+    m = x.shape[0]
+    order = np.argsort(x)
+    vals = x[order]
+    ties = vals[1:] == vals[:-1]
+    tied = np.zeros(m, dtype=bool)
+    tied[1:] = ties
+    tied[:-1] |= ties
+    if ties.any():
+        run = np.zeros(m, dtype=np.int64)
+        np.cumsum(~ties, out=run[1:])
+        at = np.flatnonzero(tied)
+        key = run[at] * m + order[at]
+        key.sort()
+        order[at] = key % m
+    return order, tied
+
+
 def removal(points, deltas) -> DeltaSamples:
     """Merge duplicate points, averaging their deltas and recording group size.
 
@@ -86,11 +116,12 @@ def removal(points, deltas) -> DeltaSamples:
     output, sum(mult * delta * g(point)) equals the weighted sum over the
     unmerged input.
 
-    Every dim is sorted once, stably.  A row can equal another only if it ties
-    a neighbour in every dim's order, so only those candidate rows are grouped
-    by a lexsort.  Group sums accumulate in input row order.  The per-dim
-    sorts, filtered to the kept rows, are the merged samples' ``orders``: a
-    merged index grows with the original one, so ties stay in index order.
+    Every dim is sorted once by (coordinate, row index) with ``_column_order``.
+    A row can equal another only if it ties a neighbour in every dim's order,
+    so only those candidate rows are grouped by a lexsort.  Group sums
+    accumulate in input row order.  The per-dim sorts, filtered to the kept
+    rows, are the merged samples' ``orders``: a merged index grows with the
+    original one, so ties stay in index order.
 
     A NaN or infinite coordinate or delta raises ValueError: a NaN fails every
     threshold test, so it could not be routed like the point it was split as.
@@ -107,15 +138,12 @@ def removal(points, deltas) -> DeltaSamples:
     if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(dl))):
         raise ValueError("non-finite point or delta entries")
     m, dims = pts.shape
-    orders = [np.argsort(pts[:, d], kind="stable") for d in range(dims)]
+    orders = []
     candidate = np.ones(m, dtype=bool)
-    for d, order in enumerate(orders):
-        vals = pts[order, d]
-        ties = vals[1:] == vals[:-1]
-        tied = np.zeros(m, dtype=bool)
-        tied[1:] = ties
-        tied[:-1] |= ties
+    for d in range(dims):
+        order, tied = _column_order(pts[:, d])
         candidate[order] &= tied
+        orders.append(order)
     # first[i]: the first row equal to row i (row i itself unless duplicated)
     first = np.arange(m)
     rows = np.flatnonzero(candidate)

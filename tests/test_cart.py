@@ -1,4 +1,7 @@
 import gc
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -6,12 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import treestop
 from treestop.cart import (
     DELTA,
     PROTOTYPE,
     CartTree,
     DeltaSamples,
     GrowConfig,
+    _column_order,
     grow,
     removal,
 )
@@ -118,6 +123,71 @@ def test_removal_rejects_non_finite_input(bad):
         removal(pts, np.array([1.0, -1.0, 1.0, -1.0]))
     with pytest.raises(ValueError, match="non-finite"):
         removal(np.array([[1.0], [2.0]]), np.array([bad, 0.5]))
+
+
+@st.composite
+def sort_columns(draw):
+    # columns of 0-2 rows or of sizes where numpy's vectorised argsort runs,
+    # drawn from a seed: continuous values, a few grid values, long zero runs,
+    # mixed 0.0 and -0.0, or one value throughout (step 0, every path at x0);
+    # each is read contiguous, as a strided column, from a Fortran matrix or
+    # reversed
+    m = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(200, 20_000)))
+    kind = draw(st.sampled_from(["normal", "grid", "zero_runs", "signed_zeros", "constant"]))
+    layout = draw(st.sampled_from(["contiguous", "strided", "fortran", "reversed"]))
+    rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**32))))
+    x = {"normal": lambda: rng.standard_normal(m),
+         "grid": lambda: rng.integers(-3, 4, m) / 2.0,
+         "zero_runs": lambda: np.where(rng.random(m) < 0.5, 0.0, rng.standard_normal(m)),
+         "signed_zeros": lambda: np.where(rng.random(m) < 0.5, 0.0, -0.0),
+         "constant": lambda: np.full(m, 100.0)}[kind]()
+    if layout == "reversed":
+        return x[::-1].copy()[::-1]
+    if layout == "contiguous":
+        return x
+    block = rng.standard_normal((m, 3))
+    block = np.asfortranarray(block) if layout == "fortran" else block
+    block[:, 1] = x
+    return block[:, 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sort_columns())
+def test_column_order_is_the_stable_argsort(x):
+    order, tied = _column_order(x)
+    ref = np.argsort(x, kind="stable")
+    assert order.dtype == ref.dtype and np.array_equal(order, ref)
+    # tied marks the sorted values that occur more than once (0.0 == -0.0)
+    vals = x[ref]
+    repeats = np.searchsorted(vals, vals, "right") - np.searchsorted(vals, vals, "left")
+    assert tied.dtype == bool and np.array_equal(tied, repeats > 1)
+
+
+DISPATCH_CHECK = """
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+from treestop.cart import removal
+
+assert not __cpu_features__["AVX512_ICL"]
+rng = np.random.Generator(np.random.Philox(5))
+pts = rng.integers(-2, 3, (20_000, 3)) * np.where(rng.random((20_000, 3)) < 0.5, 1.0, -1.0)
+pts[:, 2] += rng.integers(0, 2, 20_000) * rng.standard_normal(20_000)
+s = removal(pts, rng.standard_normal(20_000))
+idx = np.arange(len(s))
+for d in range(s.dim):
+    assert np.array_equal(s.orders[d], np.lexsort((idx, s.points[:, d]))), d
+"""
+
+
+def test_removal_orders_hold_without_avx512_sorts():
+    # the (coordinate, row index) orders must not depend on which argsort
+    # numpy dispatches to: rerun a tie-heavy removal with its AVX-512 loops
+    # switched off, so an AVX-512 host checks both levels
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="AVX512_ICL AVX512_SPR X86_V4",
+               PYTHONPATH=os.path.dirname(os.path.dirname(treestop.__file__)))
+    done = subprocess.run([sys.executable, "-c", DISPATCH_CHECK], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------------------------
