@@ -163,11 +163,12 @@ def removal(points, deltas) -> DeltaSamples:
                         tuple(merged[o[keep[o]]] for o in orders))
 
 
-def _decide(points: np.ndarray, weight: np.ndarray, orders, total: float,
+def _decide(columns, weight: np.ndarray, orders, total: float,
             prototype: bool) -> tuple[int, float] | None:
     """The ``(dim, threshold)`` one node splits at, or None when it stays a leaf.
 
-    This is the split rule of both splitters.  ``orders`` holds, per dim, the
+    This is the split rule of both splitters.  ``columns`` holds the samples'
+    coordinates, one contiguous array per dim; ``orders`` holds, per dim, the
     node's row indices sorted by (coordinate, original sample index);
     ``total`` is the node's weight sum (accumulated in original sample order,
     so decisions are reproducible bit for bit).  A single row is a leaf.
@@ -183,12 +184,15 @@ def _decide(points: np.ndarray, weight: np.ndarray, orders, total: float,
         return None
     best = None
     for d, order in enumerate(orders):
-        vals = points[order, d]
+        vals = columns[d].take(order)
         if vals[0] == vals[-1]:
             continue
-        prefix = np.cumsum(weight[order])[:-1]
-        scores = np.maximum(np.abs(prefix), np.abs(total - prefix))
-        scores[vals[:-1] >= vals[1:]] = -np.inf
+        # the score max(|prefix|, |total - prefix|), computed in place
+        scores = np.cumsum(weight.take(order[:-1]))
+        rest = total - scores
+        np.abs(scores, out=scores)
+        np.maximum(scores, np.abs(rest, out=rest), out=scores)
+        np.putmask(scores, vals[:-1] >= vals[1:], -np.inf)
         k = int(np.argmax(scores))
         if best is None or scores[k] > best[0]:
             best = (float(scores[k]), d, float(vals[k]))
@@ -328,6 +332,7 @@ def grow(samples: DeltaSamples, config: GrowConfig) -> CartTree:
     if len(samples) == 0:
         raise ValueError("empty sample set")
     points = samples.points
+    columns = [np.ascontiguousarray(points[:, d]) for d in range(points.shape[1])]
     weight = samples.weight
     proto = config.splitter == PROTOTYPE
     nodes = []  # preorder (feature, threshold, left, right, leaf), as CartTree holds them
@@ -340,10 +345,10 @@ def grow(samples: DeltaSamples, config: GrowConfig) -> CartTree:
     # ``removal``'s sorts and are never re-sorted.
     def build(rows, orders, depth: int) -> int:
         node = len(nodes)
-        total = float(np.sum(weight[rows]))
+        total = float(np.sum(weight.take(rows)))
         split = None
         if depth < config.max_depth and rows.shape[0] >= config.min_node_size:
-            split = _decide(points, weight, orders, total, proto)
+            split = _decide(columns, weight, orders, total, proto)
         if split is None:
             # Nodes with an exactly-zero total arise only when every sample carries
             # a zero increment (continuation and immediate reward both worthless on
@@ -353,11 +358,13 @@ def grow(samples: DeltaSamples, config: GrowConfig) -> CartTree:
             return node
         dim, threshold = split
         nodes.append(None)
-        go_left = points[rows, dim] <= threshold
+        go_left = columns[dim].take(rows) <= threshold
         side[rows] = go_left
-        masks = [side[o] for o in orders]
-        left = build(rows[go_left], [o[g] for o, g in zip(orders, masks)], depth + 1)
-        right = build(rows[~go_left], [o[~g] for o, g in zip(orders, masks)], depth + 1)
+        masks = [side.take(o) for o in orders]
+        left = build(rows.compress(go_left), [o.compress(g) for o, g in zip(orders, masks)],
+                     depth + 1)
+        right = build(rows.compress(~go_left), [o.compress(~g) for o, g in zip(orders, masks)],
+                      depth + 1)
         nodes[node] = (dim, threshold, left, right, 0)
         return node
 

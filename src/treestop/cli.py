@@ -34,7 +34,9 @@ from treestop.stopper import (BaggedStopper, StopResult, apply, check_compat, fe
 from treestop.valuation import (
     LS_TEST,
     V_TEST,
+    V_TRAIN,
     VMAX,
+    ValuationReport,
     extract_boundary,
     ls_fit,
     ls_forward,
@@ -44,8 +46,12 @@ from treestop.valuation import (
     oracle_enumerate,
     stopped_values,
     v_max,
+    v_train,
     value_of_rule,
 )
+
+V_TRAIN_CSV = "v_train.csv"
+_V_TRAIN_HEADER = "kind,value,se,ensemble_seed,stopper_hash\n"
 
 
 def _fmt(x: float) -> str:
@@ -68,6 +74,34 @@ def _write_valuation_csv(path, cfg: ExperimentConfig, reports) -> None:
             fh.write(f"{rep.kind},{_fmt(rep.value)},{_fmt(rep.se)},"
                      f"{rep.ensemble_seed if rep.ensemble_seed is not None else ''},"
                      f"{rep.stopper_hash or ''},{delta}\n")
+
+
+def _write_v_train_csv(out_dir, cfg: ExperimentConfig, rep: ValuationReport) -> None:
+    """Cache a fit's v_train report next to its stopper.txt, floats as repr."""
+    with open(os.path.join(out_dir, V_TRAIN_CSV), "w") as fh:
+        fh.write(_provenance(cfg))
+        fh.write(_V_TRAIN_HEADER)
+        fh.write(f"{rep.kind},{rep.value!r},{rep.se!r},{rep.ensemble_seed},{rep.stopper_hash}\n")
+
+
+def _cached_v_train(path, cfg: ExperimentConfig, stopper_hash: str) -> ValuationReport | None:
+    """The v_train report ``path`` caches for this config and stopper, or None.
+
+    The file is a cache, not an input: a missing, unreadable or malformed file,
+    or one written for another config (provenance line) or another stopper
+    (hash), gives None, and the caller values the training ensemble itself.
+    """
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines(keepends=True)
+        if len(lines) != 3 or lines[:2] != [_provenance(cfg), _V_TRAIN_HEADER]:
+            return None
+        kind, value, se, seed, cached_hash = lines[2].rstrip("\n").split(",")
+        if (kind, seed, cached_hash) != (V_TRAIN, str(cfg.seed_train), stopper_hash):
+            return None
+        return ValuationReport(V_TRAIN, float(value), float(se), cfg.seed_train, stopper_hash)
+    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
+        return None
 
 
 def _write_boundary_csv(out_dir, cfg, scatter) -> None:
@@ -155,6 +189,9 @@ def _value_pass(cfg: ExperimentConfig, label: str, stopper: BaggedStopper,
     impossible K fails at once, and are filled at the chunk's offset;
     reductions over them give the bytes of a whole-ensemble run.  Returns the
     whole ensemble's stop result and the filled per-path vectors by name.
+    The test ensemble is always valued here; the training ensemble only by an
+    ``evaluate`` that finds no matching v_train.csv, since a fit values its
+    own training paths.
     """
     per_path = per_path or {}
     K = cfg.num_paths(label)
@@ -181,14 +218,20 @@ def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = T
     """Simulate, fit (or load ``stopper_file``), apply and value one config.
 
     What a run writes depends only on the config and the stages it runs:
-    fitting writes config_resolved.cfg and stopper.txt; ``value`` writes
-    valuation.csv with v_train, v_test and v_max, plus ls_train and ls_test
-    when cfg.with_ls; ``boundary`` writes the test ensemble's boundary CSVs,
-    with residuals against ``boundary_file`` when given, and stop_region.csv
-    when the stopper's trees read one feature.  The config, the path counts
-    of the ensembles the run simulates, the feature mode, the cfg.with_ls
-    scope and a loaded stopper's bags, feature mode and tree width are checked
-    before any ensemble is simulated.  The training ensemble is held whole
+    fitting writes config_resolved.cfg and stopper.txt, and, unless the run
+    only computes a boundary, v_train.csv: the all-bag rule's value on the
+    training paths, which ``train`` returns with the stopper.  ``value``
+    writes valuation.csv with v_train, v_test and v_max, plus ls_train and
+    ls_test when cfg.with_ls.  A loaded stopper's v_train comes from the
+    v_train.csv next to ``stopper_file`` when its provenance line is the
+    config's and its stopper hash the stopper's; otherwise, or when the file
+    is missing or malformed, the training ensemble is streamed and valued
+    again, with the same bytes.  ``boundary`` writes the test ensemble's
+    boundary CSVs, with residuals against ``boundary_file`` when given, and
+    stop_region.csv when the stopper's trees read one feature.  The config,
+    the path counts of the ensembles the run simulates, the feature mode, the
+    cfg.with_ls scope and a loaded stopper's bags, feature mode and tree width
+    are checked before any ensemble is simulated.  The training ensemble is held whole
     for the cfg.with_ls regression and for a fit whose features are at least
     as wide as the states (raw, raw_plus_reward, and four_features at few
     assets); a fit on narrower features streams it in path chunks into a
@@ -240,13 +283,17 @@ def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = T
         paths_train = cfg.make_ensemble(TRAIN_LABEL) if held else None
         if fit:
             # a feature block is a temporary, dropped once train returns
-            stopper = train(paths_train if held else
-                            feature_block(cfg.ensemble_chunks(TRAIN_LABEL), cfg.k_train, width,
-                                          reward_spec, cfg.feature_mode),
-                            reward_spec, train_config)
+            stopper, realized = train(paths_train if held else
+                                      feature_block(cfg.ensemble_chunks(TRAIN_LABEL), cfg.k_train,
+                                                    width, reward_spec, cfg.feature_mode),
+                                      reward_spec, train_config)
             with open(os.path.join(cfg.out, "stopper.txt"), "w") as fh:
                 fh.write(_provenance(cfg))
                 fh.write(stopper.serialize())
+            if value or not boundary:  # a boundary-only run values nothing
+                stopper_hash = stopper.content_hash()
+                rep_train = v_train(realized, cfg.seed_train, stopper_hash)
+                _write_v_train_csv(cfg.out, cfg, rep_train)
         if with_ls:
             ls_rule = ls_fit(paths_train, reward_spec)
         del paths_train
@@ -256,8 +303,12 @@ def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = T
     reports = []
     per_path = {}
     if value:
-        stopper_hash = stopper.content_hash()
-        reports.append(value_of_rule(_value_pass(cfg, TRAIN_LABEL, stopper)[0], stopper_hash))
+        if not fit:  # the v_train its fit cached next to the stopper, or a pass of its own
+            stopper_hash = stopper.content_hash()
+            cached = os.path.join(os.path.dirname(stopper_file), V_TRAIN_CSV)
+            rep_train = (_cached_v_train(cached, cfg, stopper_hash)
+                         or value_of_rule(_value_pass(cfg, TRAIN_LABEL, stopper)[0], stopper_hash))
+        reports.append(rep_train)
     if with_ls:
         per_path[LS_TEST] = lambda chunk, _: ls_forward(ls_rule, chunk, reward_spec)
     if boundary:

@@ -96,36 +96,45 @@ class BaggedStopper:
             self._tables[n] = table
         return self._tables[n]
 
-    def stops(self, n: int, feats: np.ndarray, own=None) -> np.ndarray:
-        """(K,) bool: whether at least half of step n's voting bags vote STOP.
+    def stops(self, n: int, feats: np.ndarray, own=None):
+        """(K,) bool: whether at least half of step n's bags vote STOP on each row.
 
-        All bags vote, or, given a (K,) integer array ``own``, all bags except
-        bag ``own[k]`` on row k (the leave-one-bag-out vote of training).  A
-        step without an interval table routes rows tree by tree, on
-        column-major features, and stops routing a row once the votes still
-        to come cannot change its majority.
+        Given a (k,) integer array ``own`` (k <= K), returns ``(loo, every)``:
+        ``loo`` (k,) says whether at least half of the bags other than bag
+        ``own[i]`` vote STOP on row i (the leave-one-bag-out vote of
+        training), and ``every`` is the all-bag vote above; rows past k belong
+        to no bag.  Both come from one pass in which every bag votes on every
+        row.  Without ``own``, a step without an interval table routes rows
+        tree by tree, on column-major features, and stops routing a row once
+        the votes still to come cannot change its majority.
         """
-        voters = self.bags if own is None else self.bags - 1
-        need = (voters + 1) // 2
+        need = (self.bags + 1) // 2
+        need_loo = self.bags // 2  # half of the other bags, rounded up
         table = self.interval_table(n)
         if table is not None:
             if feats.ndim != 2 or feats.shape[1] != 1:
                 raise ValueError(f"expected feature dim 1, got shape {feats.shape}")
             idx = np.searchsorted(table.breaks, feats[:, 0], side="left")
             count = table.count[idx]
-            if own is not None:
-                count -= table.votes[own, idx]
-            return count >= need
+            if own is None:
+                return count >= need
+            loo = count[:own.shape[0]] - table.votes[own, idx[:own.shape[0]]]
+            return loo >= need_loo, count >= need
         cols = np.asfortranarray(feats)
         count = np.zeros(feats.shape[0], dtype=np.int32)
+        if own is not None:
+            own_vote = np.zeros(own.shape[0], dtype=np.int8)
+            for b in range(self.bags):
+                vote = self.trees[b][n].predict(cols)
+                count += vote
+                np.copyto(own_vote, vote[:own.shape[0]], where=own == b)
+            return count[:own.shape[0]] - own_vote >= need_loo, count >= need
         rows = np.arange(feats.shape[0])
         for b in range(self.bags):
-            voting = rows if own is None else rows.compress(own.take(rows) != b)
-            count += self.trees[b][n].predict(cols, voting)
-            if b + 1 >= min(need, voters - need + 1):  # no row is decided before
+            count += self.trees[b][n].predict(cols, rows)
+            if b + 1 >= min(need, self.bags - need + 1):  # no row is decided before
                 seen = count.take(rows)
-                to_come = self.bags - 1 - b - (0 if own is None else own.take(rows) > b)
-                rows = rows.compress((seen < need) & (seen + to_come >= need))
+                rows = rows.compress((seen < need) & (seen + self.bags - 1 - b >= need))
         return count >= need
 
     def serialize(self) -> str:
@@ -256,7 +265,7 @@ def feature_block(chunks, num_paths: int, width: int, reward_spec: RewardSpec,
 
 
 def train(paths: PathEnsemble | np.ndarray, reward_spec: RewardSpec,
-          config: TrainConfig) -> BaggedStopper:
+          config: TrainConfig) -> tuple[BaggedStopper, np.ndarray]:
     """Fit the bagged stopper on a training ensemble or on its feature block.
 
     ``paths`` is either the ensemble, whose step-n features are computed when
@@ -269,10 +278,19 @@ def train(paths: PathEnsemble | np.ndarray, reward_spec: RewardSpec,
     Paths are shuffled with a seeded Philox stream, truncated to a multiple of
     the bag count, and cut into contiguous equally sized bags.  The bagged
     paths are then listed bag by bag, each bag's paths in path order, in one
-    index ``order``: every step gathers its features and rewards through it
-    once, and bag b is rows b*s:(b+1)*s of those arrays (s paths per bag).
-    Steps run strictly backward.  Within a step each bag grows its tree in
-    turn, then the leave-one-bag-out vote moves each path's continuation stop.
+    index ``order``, followed by the fewer than B paths the bags drop: every
+    step gathers its features and rewards through it once, and bag b is rows
+    b*s:(b+1)*s of those arrays (s paths per bag).  Steps run strictly
+    backward.  Within a step each bag grows its tree in turn, then one vote
+    gives two stops: the leave-one-bag-out vote moves each bagged path's
+    continuation stop, and the all-bag vote, the rule ``apply`` replays, sets
+    the path's realized reward to the step's wherever it fires.
+
+    Returns the stopper and the (K,) discounted reward each training path
+    realizes under it, in path order, dropped paths included: the first step
+    where the all-bag rule fires, found backward, and step N where it never
+    does.  These are the ``StopResult.realized`` of ``apply(stopper, paths)``
+    on the training ensemble, bit for bit, since every step works row by row.
     """
     mode = config.feature_mode
     if isinstance(paths, PathEnsemble):
@@ -297,7 +315,8 @@ def train(paths: PathEnsemble | np.ndarray, reward_spec: RewardSpec,
     s = K_all // B
     K = B * s
     rng = np.random.Generator(np.random.Philox(config.seed_bagging))
-    order = np.sort(rng.permutation(K_all)[:K].reshape(B, s), axis=1).ravel()
+    shuffled = rng.permutation(K_all)
+    order = np.append(np.sort(shuffled[:K].reshape(B, s), axis=1), np.sort(shuffled[K:]))
     bags = [slice(b * s, (b + 1) * s) for b in range(B)]
     own = np.repeat(np.arange(B), s)
     column = REWARD_COLUMN.get(mode)  # None: the features are the states
@@ -308,20 +327,23 @@ def train(paths: PathEnsemble | np.ndarray, reward_spec: RewardSpec,
     # Rewards are evaluated per step; the reward at each path's current
     # continuation stop is carried along instead of materialising a K x (N+1)
     # matrix.
-    u_at_tau = rewards(N, step(N))[order]
+    realized = np.array(rewards(N, step(N)))
+    u_at_tau = realized[order[:K]]
     stopper = BaggedStopper([[None] * N for _ in range(B)], mode, reward_spec)
 
     for n in range(N - 1, -1, -1):
-        feats_n = np.asfortranarray(step(n)[order])  # contiguous split columns for the LOO vote
+        feats_n = np.asfortranarray(step(n)[order])  # contiguous split columns for the vote
         u_n = rewards(n, feats_n)
         for b, rows in enumerate(bags):
             samples = removal(feats_n[rows], (u_at_tau[rows] - u_n[rows]) / K)
             stopper.trees[b][n] = grow(samples, config.grow)
-        # leave-one-out update: stop where the other B-1 bags' mean vote >= 1/2
-        stop = stopper.stops(n, feats_n, own)
-        u_at_tau[stop] = u_n[stop]
+        # leave-one-out update: stop where the other B-1 bags' mean vote >= 1/2;
+        # the all-bag vote of the same pass moves what the path realizes
+        loo, every = stopper.stops(n, feats_n, own)
+        u_at_tau[loo] = u_n[:K][loo]
+        realized[order[every]] = u_n[every]
 
-    return stopper
+    return stopper, realized
 
 
 def first_hit(paths: PathEnsemble, spec: RewardSpec, fires) -> tuple[np.ndarray, ...]:

@@ -1,9 +1,10 @@
 """Lower bounds, reference values, and stopping-boundary extraction.
 
 ``value_of_rule`` turns realized stopping results into ensemble-average lower
-bounds with standard errors, and ``v_max`` averages each path's maximal
-reward (``StopResult.best``, from the same ``stopper.first_hit`` replay) into
-the anticipating upper reference.  ``ls_fit`` fits a least-squares regression
+bounds with standard errors, ``v_train`` does the same for the rewards
+``stopper.train`` realizes on its own paths, and ``v_max`` averages each
+path's maximal reward (``StopResult.best``, from the same
+``stopper.first_hit`` replay) into the anticipating upper reference.  ``ls_fit`` fits a least-squares regression
 baseline for the one-dimensional put, ``ls_forward`` replays it through
 ``first_hit`` and ``ls_value`` reports both values.  The per-path functions
 (``ls_forward``, ``stopped_values``) work on any path chunk of an ensemble;
@@ -64,6 +65,17 @@ def value_of_rule(result: StopResult, stopper_hash: str | None = None) -> Valuat
     m, se = _mean_se(result.realized)
     kind = V_TRAIN if result.label == TRAIN_LABEL else V_TEST
     return ValuationReport(kind, m, se, result.ensemble_seed, stopper_hash)
+
+
+def v_train(realized: np.ndarray, seed: int | None = None,
+            stopper_hash: str | None = None) -> ValuationReport:
+    """In-sample value of a rule: the mean of the rewards ``stopper.train`` returns.
+
+    Gives the bytes ``value_of_rule`` gives on ``apply``'s result on the same
+    training ensemble, which realizes the same per-path rewards in the same order.
+    """
+    m, se = _mean_se(realized)
+    return ValuationReport(V_TRAIN, m, se, seed, stopper_hash)
 
 
 def v_max(best: np.ndarray, seed: int | None = None) -> ValuationReport:

@@ -45,7 +45,7 @@ def _run(gbm, reward_spec, k_train, k_test, feature_mode, seeds=(1001, 2002, 300
     tr = generate_gbm(gbm, k_train, seeds[0], "training", reward_spec.barrier)
     te = generate_gbm(gbm, k_test, seeds[1], "test", reward_spec.barrier)
     cfg = TrainConfig(10, GrowConfig(10, 10, "delta"), feature_mode, seeds[2])
-    stopper = train(tr, reward_spec, cfg)
+    stopper, _ = train(tr, reward_spec, cfg)
     return tr, te, stopper
 
 
@@ -159,7 +159,7 @@ def test_criterion_7_discrete_chain_oracle():
         assert dp.value == bf.value
         cfg = TrainConfig(2, GrowConfig(max_depth=8, min_node_size=1), "raw",
                           seed_bagging=seed % 997)
-        trained = value_of_rule(apply(train(paths, spec, cfg), paths))
+        trained = value_of_rule(apply(train(paths, spec, cfg)[0], paths))
         assert trained.value <= dp.value + 1e-9
     _passed(7, "induction equals enumeration and dominates training on 100 chains")
 

@@ -19,6 +19,7 @@ from treestop.config import (
 )
 from treestop.reward import reward
 from treestop.stopper import BaggedStopper, train
+from treestop.valuation import value_of_rule
 
 
 SMALL = dict(kind="put", dim=1, x0=95.0, sigma=0.3, maturity=1.0, steps=6,
@@ -161,11 +162,22 @@ def test_chunked_valuation_keeps_every_output_byte(tmp_path, monkeypatch, extra)
     monkeypatch.setattr(ensemble, "CHUNK_BYTES", 2 * 133 * 8 * (cfg.steps + 1) * width)
     sizes = record_chunks(monkeypatch)
     run_experiment(cfg)
-    assert sizes == [(label, k) for label in ("training", "test") for k in (133, 133, 133, 1)]
+    # the fit values its own training paths, so only the test ensemble streams
+    assert sizes == [("test", k) for k in (133, 133, 133, 1)]
     chunked = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
     assert chunked.keys() == one_chunk.keys()
     for name in one_chunk:
         assert chunked[name] == one_chunk[name], name
+
+    # without the fit's v_train.csv, evaluate streams the training ensemble in
+    # the same chunks to value it, and writes the same bytes
+    (tmp_path / "run" / "v_train.csv").unlink()
+    sizes.clear()
+    assert main(["evaluate", "--config", str(tmp_path / "run" / "config_resolved.cfg"),
+                 "--stopper", str(tmp_path / "run" / "stopper.txt")]) == 0
+    assert sizes == [(label, k) for label in ("training", "test") for k in (133, 133, 133, 1)]
+    for name in chunked.keys() - {"v_train.csv"}:
+        assert (tmp_path / "run" / name).read_bytes() == one_chunk[name], name
 
 
 TRAINING_KINDS = {
@@ -181,25 +193,37 @@ HELD_FITS = [("put", 1, "raw"), ("put", 1, "raw_plus_reward"), ("max_call", 3, "
              ("max_call_barrier", 3, "raw"), ("max_call_barrier", 3, "raw_plus_reward")]
 
 
-@pytest.mark.parametrize("kind, dim, mode, chunk_paths", [
+FIT_CASES = [
     *[pytest.param(kind, dim, mode, chunk_paths, id=f"{kind}-d{dim}-{mode}-{name}")
       for kind, dim, mode in STREAMED_FITS
       for chunk_paths, name in [(1, "1_path"), (7, "7_paths"), (17, "ragged")]],
     *[pytest.param(kind, dim, mode, None, id=f"{kind}-d{dim}-{mode}-held")
       for kind, dim, mode in HELD_FITS],
-])
+]
+
+
+def fit_settings(kind, dim, mode):
+    # 49 paths in 3 bags: the bags drop one path
+    return [*TRAINING_KINDS[kind], f"dim={dim}", f"feature_mode={mode}", "k_train=49",
+            "steps=4", "bags=3", "max_depth=4", "min_node_size=3"]
+
+
+def chunk_training_paths(monkeypatch, cfg, chunk_paths):
+    if chunk_paths:
+        width = cfg.dim + (cfg.kind == "max_call_barrier")
+        monkeypatch.setattr(ensemble, "CHUNK_BYTES", 2 * chunk_paths * 8 * (cfg.steps + 1) * width)
+
+
+@pytest.mark.parametrize("kind, dim, mode, chunk_paths", FIT_CASES)
 def test_chunked_training_keeps_the_stopper_bytes(tmp_path, monkeypatch, kind, dim, mode,
                                                   chunk_paths):
     # a fit on features narrower than the states streams the 49 training paths
     # chunk by chunk into its feature block, any other fit holds the ensemble,
     # and both dump the stopper that train fits on the whole ensemble
-    settings = [*TRAINING_KINDS[kind], f"dim={dim}", f"feature_mode={mode}", "k_train=49",
-                "steps=4", "bags=3", "max_depth=4", "min_node_size=3"]
+    settings = fit_settings(kind, dim, mode)
     cfg = load_config(None, settings)
-    whole = train(cfg.make_ensemble("training"), cfg.reward_spec(), cfg.train_config())
-    if chunk_paths:
-        width = dim + (kind == "max_call_barrier")
-        monkeypatch.setattr(ensemble, "CHUNK_BYTES", 2 * chunk_paths * 8 * (cfg.steps + 1) * width)
+    whole, _ = train(cfg.make_ensemble("training"), cfg.reward_spec(), cfg.train_config())
+    chunk_training_paths(monkeypatch, cfg, chunk_paths)
     sizes = record_chunks(monkeypatch)
     assert main(["train", *overrides(settings), "--out", str(tmp_path)]) == 0
     streamed = (tmp_path / "stopper.txt").read_text()
@@ -207,6 +231,26 @@ def test_chunked_training_keeps_the_stopper_bytes(tmp_path, monkeypatch, kind, d
     chunked = ([("training", min(chunk_paths, 49 - start)) for start in range(0, 49, chunk_paths)]
                if chunk_paths else [])
     assert sizes == chunked
+
+
+@pytest.mark.parametrize("kind, dim, mode, chunk_paths", FIT_CASES)
+def test_fit_values_its_training_paths_like_the_streamed_pass(tmp_path, monkeypatch, kind, dim,
+                                                              mode, chunk_paths):
+    # the v_train a fit caches from its own vote is the value and se of
+    # streaming the training ensemble through apply, compared exactly
+    settings = fit_settings(kind, dim, mode)
+    cfg = load_config(None, [*settings, f"out={tmp_path}"])
+    chunk_training_paths(monkeypatch, cfg, chunk_paths)
+    assert main(["train", *overrides(settings), "--out", str(tmp_path)]) == 0
+    stopper = BaggedStopper.parse((tmp_path / "stopper.txt").read_text(), cfg.reward_spec())
+    # a one-feature step votes through its interval table, a wider one tree by tree
+    assert (stopper.interval_table(0) is None) == (mode != "raw" or dim > 1)
+    lines = (tmp_path / "v_train.csv").read_text().splitlines()
+    assert lines[:2] == [cli._provenance(cfg).strip(), "kind,value,se,ensemble_seed,stopper_hash"]
+    kind_, value, se, seed, stopper_hash = lines[2].split(",")
+    streamed = value_of_rule(cli._value_pass(cfg, "training", stopper)[0])
+    assert (kind_, seed, stopper_hash) == ("v_train", str(cfg.seed_train), stopper.content_hash())
+    assert (float(value), float(se)) == (streamed.value, streamed.se)
 
 
 def test_ls_unsupported_for_multidim(tmp_path):
@@ -262,6 +306,64 @@ def test_train_then_evaluate_match_run_experiment(tmp_path):
         assert (out / n).read_bytes() == from_cli[n], n
 
 
+def rewrite(path, pattern, replacement):
+    text, found = re.subn(pattern, replacement, path.read_text(), flags=re.M)
+    assert found == 1
+    path.write_text(text)
+
+
+# ways a v_train.csv can fail to be the one this evaluate may reuse
+V_TRAIN_EDITS = {
+    "missing": lambda path: path.unlink(),
+    "unreadable": lambda path: (path.unlink(), path.mkdir()),
+    "not_utf8": lambda path: path.write_bytes(b"\xff" + path.read_bytes()),
+    "short": lambda path: rewrite(path, r"^v_train,.*\n", ""),
+    "bad_value": lambda path: rewrite(path, r"^v_train,[^,]+,", "v_train,x,"),
+    "other_stopper": lambda path: rewrite(path, r",[0-9a-f]{12}$", ",000000000000"),
+    "other_config": lambda path: rewrite(path, r"seed_test=\d+", "seed_test=7"),
+}
+
+
+@pytest.mark.parametrize("edit", V_TRAIN_EDITS)
+def test_evaluate_reuses_only_a_matching_v_train_csv(tmp_path, monkeypatch, edit):
+    # evaluate takes v_train from the v_train.csv its stopper's fit wrote when
+    # the provenance line and stopper hash match; any other file is a cache
+    # miss, not an error: evaluate values the training ensemble, as it would
+    # without the file, and writes the same valuation.csv either way
+    common = ["--set", "k_train=302", "--set", "k_test=300", "--set", "steps=5",
+              "--set", "bags=4", "--out", str(tmp_path)]
+    assert main(["train", *common]) == 0
+    evaluate = ["evaluate", "--stopper", str(tmp_path / "stopper.txt"), *common]
+    drawn = record_chunks(monkeypatch)
+    assert main(evaluate) == 0
+    assert drawn == [("test", 300)]
+    cached = (tmp_path / "valuation.csv").read_bytes()
+    V_TRAIN_EDITS[edit](tmp_path / "v_train.csv")
+    drawn.clear()
+    assert main(evaluate) == 0
+    assert drawn == [("training", 302), ("test", 300)]
+    assert (tmp_path / "valuation.csv").read_bytes() == cached
+
+
+@pytest.mark.parametrize("settings, built, drawn", [
+    (["kind=max_call", "dim=5", "mu=-0.05", "maturity=3.0", "feature_mode=four_features"],
+     [], [("training", 300), ("test", 300)]),
+    (["with_ls=true"], ["training"], [("test", 300)]),
+], ids=["streamed_fit", "held_fit"])
+def test_run_experiment_simulates_the_training_ensemble_once(tmp_path, monkeypatch, settings,
+                                                             built, drawn):
+    # a streamed fit draws the training chunks into its feature block and a
+    # held fit builds the ensemble whole; neither streams it again for v_train
+    cfg = load_config(None, [*settings, "k_train=300", "k_test=300", "steps=5", "bags=4",
+                             f"out={tmp_path}"])
+    made, make_ensemble = [], ExperimentConfig.make_ensemble
+    monkeypatch.setattr(ExperimentConfig, "make_ensemble",
+                        lambda self, label: made.append(label) or make_ensemble(self, label))
+    sizes = record_chunks(monkeypatch)
+    assert "v_train" in run_experiment(cfg)
+    assert (made, sizes) == (built, drawn)
+
+
 def test_boundary_subcommand_with_theoretical_file(tmp_path):
     theo = tmp_path / "theo.csv"
     theo.write_text("n,b\n" + "\n".join(f"{n},86.0" for n in range(7)))
@@ -291,6 +393,7 @@ def test_boundary_replays_the_stopper_it_fits(tmp_path):
               "--set", "bags=4", "--set", "x0=90", "--out", str(tmp_path)]
     assert main(["boundary", *common]) == 0
     assert (tmp_path / "config_resolved.cfg").exists()
+    assert not (tmp_path / "v_train.csv").exists()  # a boundary run values nothing
     names = ("boundary.csv", "boundary_summary.csv")
     fitted = {n: (tmp_path / n).read_bytes() for n in names}
     assert main(["boundary", "--stopper", str(tmp_path / "stopper.txt"), *common]) == 0

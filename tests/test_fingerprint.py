@@ -35,7 +35,7 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_pinned_stopper_hash_and_v_test(name):
     cfg, stopper_hash, v_test = CASES[name]
-    stopper = train(cfg.make_ensemble(TRAIN_LABEL), cfg.reward_spec(), cfg.train_config())
+    stopper, _ = train(cfg.make_ensemble(TRAIN_LABEL), cfg.reward_spec(), cfg.train_config())
     assert stopper.content_hash() == stopper_hash
     report = value_of_rule(apply(stopper, cfg.make_ensemble(TEST_LABEL)))
     assert report.value == v_test

@@ -74,7 +74,7 @@ def test_half_vote_reaches_projector_threshold():
 def test_counts_partition_paths():
     paths = small_put_ensemble(num_paths=200, seed=8)
     cfg = TrainConfig(4, GrowConfig(max_depth=3, min_node_size=5), "raw", 1)
-    stopper = train(paths, PUT4, cfg)
+    stopper, _ = train(paths, PUT4, cfg)
     res = apply(stopper, paths)
     counts = np.bincount(res.stop_step, minlength=5)
     assert counts.sum() == paths.num_paths
@@ -84,7 +84,7 @@ def test_counts_partition_paths():
 def test_first_hit_consistency_and_decomposition():
     paths = small_put_ensemble(num_paths=300, seed=21)
     cfg = TrainConfig(3, GrowConfig(max_depth=4, min_node_size=5), "raw", 9)
-    stopper = train(paths, PUT4, cfg)
+    stopper, _ = train(paths, PUT4, cfg)
     res = apply(stopper, paths)
     N = paths.num_steps
     g = np.zeros((paths.num_paths, N + 1), dtype=int)
@@ -120,12 +120,17 @@ def bag_majority(preds, own=None):
 
 
 def assert_votes_like_trees(stopper, n, feats, preds, own):
-    """``stops`` gives the majority of the (B, K) per-tree ``preds``."""
+    """``stops`` gives the majority of the (B, K) per-tree ``preds``, with and
+    without leave-one-bag-out; rows past ``own``'s length belong to no bag."""
     full = stopper.stops(n, feats)
     assert full.dtype == bool and full.shape == (feats.shape[0],)
     np.testing.assert_array_equal(full, bag_majority(preds))
     np.testing.assert_array_equal(full, preds.sum(axis=0) * 2 >= preds.shape[0])
-    np.testing.assert_array_equal(stopper.stops(n, feats, own), bag_majority(preds, own))
+    for owned in (own, own[:len(own) // 2]):
+        loo, every = stopper.stops(n, feats, owned)
+        assert loo.dtype == bool and loo.shape == owned.shape
+        np.testing.assert_array_equal(loo, bag_majority(preds[:, :len(owned)], owned))
+        np.testing.assert_array_equal(every, full)
 
 
 @pytest.mark.parametrize("bags", [3, 4])
@@ -136,7 +141,7 @@ def test_apply_is_first_hit_majority_of_single_vector_votes(bags):
     paths = generate_gbm(spec, 120, seed=5)
     rspec = RewardSpec("max_call", 0.05, 100.0, 1.0, 4)
     cfg = TrainConfig(bags, GrowConfig(max_depth=3, min_node_size=4), "four_features", 6)
-    stopper = train(paths, rspec, cfg)
+    stopper, _ = train(paths, rspec, cfg)
     test = generate_gbm(spec, 150, seed=6, label="test")
     res = apply(stopper, test)
 
@@ -234,7 +239,7 @@ def test_stops_is_the_majority_of_every_tree(data, bags, n_features, mirrored):
                 if bags % 2 == 0:
                     assert stopper.stops(0, feats).all()  # every row ties at B/2
                 else:
-                    assert stopper.stops(0, feats, np.full(len(feats), bags - 1)).all()
+                    assert stopper.stops(0, feats, np.full(len(feats), bags - 1))[0].all()
     assert stopper.interval_table(0) is None
 
 
@@ -242,7 +247,7 @@ def test_chunked_apply_predicts_each_tree_once_per_step(monkeypatch):
     paths = small_put_ensemble(num_paths=300, seed=12)
     bags = 4
     cfg = TrainConfig(bags, GrowConfig(max_depth=4, min_node_size=5), "raw", 4)
-    dump = train(paths, PUT4, cfg).serialize()
+    dump = train(paths, PUT4, cfg)[0].serialize()
     # a parsed stopper has not voted yet, so every step's table is still to build
     stopper = BaggedStopper.parse(dump, PUT4)
     chunks = [small_put_ensemble(num_paths=200, seed=s, label="test") for s in (1, 2, 3)]
@@ -331,7 +336,7 @@ def test_single_decision_step_collapses_to_bag_average_rule():
     paths = generate_gbm(spec, 40, seed=13)
     rspec = RewardSpec("put", 0.05, 100.0, 1.0, 1)
     cfg = TrainConfig(4, GrowConfig(), "raw", 2)
-    stopper = train(paths, rspec, cfg)
+    stopper, _ = train(paths, rspec, cfg)
 
     rng = np.random.Generator(np.random.Philox(2))
     perm = rng.permutation(40)
@@ -351,7 +356,7 @@ def test_deterministic_paths_reproduce_backward_induction():
     spec = GbmSpec.symmetric(1, 105.0, -1.0, 0.0, 1.0, 20)
     paths = generate_gbm(spec, 30, seed=4)
     rspec = RewardSpec("put", 1.0, 100.0, 1.0, 20)
-    stopper = train(paths, rspec, TrainConfig(3, GrowConfig(), "raw", 5))
+    stopper, _ = train(paths, rspec, TrainConfig(3, GrowConfig(), "raw", 5))
     res = apply(stopper, paths)
     rewards = [reward(rspec, n, paths.state_at(n)[:1])[0] for n in range(21)]
     step, value = deterministic_best_stop(rewards)
@@ -359,11 +364,28 @@ def test_deterministic_paths_reproduce_backward_induction():
     assert np.allclose(res.realized, value)
 
 
+@pytest.mark.parametrize("kind, mode", [("put", "raw"), ("max_call", "raw_plus_reward"),
+                                        ("max_call", "four_features")])
+def test_train_returns_the_rewards_apply_realizes(kind, mode):
+    # 61 paths in 4 bags: the bags drop one path, which is valued all the same;
+    # from the ensemble or from its feature block, path by path, bit for bit
+    dim = 1 if kind == "put" else 3
+    paths = generate_gbm(GbmSpec.symmetric(dim, 100.0, -0.05, 0.3, 1.0, 4), 61, 5, "training")
+    rspec = RewardSpec(kind, 0.05, 100.0, 1.0, 4)
+    cfg = TrainConfig(4, GrowConfig(max_depth=3, min_node_size=3), mode, 2)
+    stopper, realized = train(paths, rspec, cfg)
+    assert (stopper.interval_table(0) is None) == (mode != "raw")
+    np.testing.assert_array_equal(realized, apply(stopper, paths).realized)
+    width = features(mode, rspec, 0, paths.state_at(0)).shape[1]
+    _, from_block = train(feature_block([paths], 61, width, rspec, mode), rspec, cfg)
+    np.testing.assert_array_equal(from_block, realized)
+
+
 def test_training_is_deterministic():
     paths = small_put_ensemble(num_paths=150, seed=17)
     cfg = TrainConfig(3, GrowConfig(max_depth=4), "raw", 11)
-    a = train(paths, PUT4, cfg)
-    b = train(paths, PUT4, cfg)
+    a, _ = train(paths, PUT4, cfg)
+    b, _ = train(paths, PUT4, cfg)
     assert a.serialize() == b.serialize()
 
 
@@ -466,7 +488,8 @@ def test_leave_one_out_mask_ignores_own_tree():
         np.testing.assert_array_equal(base.stops(0, x), [True] * 4)
         np.testing.assert_array_equal(base.stops(0, x), bag_majority(all_tree_votes(base, x)))
         assert (base.interval_table(0) is None) == (n_features > 1)
-        loo = base.stops(0, x, own)
+        loo, every = base.stops(0, x, own)
+        np.testing.assert_array_equal(every, base.stops(0, x))
         # 4 of the other 9 where the own bag stops, 5 of 9 where it continues
         np.testing.assert_array_equal(loo, [False, True, False, True])
         np.testing.assert_array_equal(loo, bag_majority(all_tree_votes(base, x), own))
@@ -477,8 +500,8 @@ def test_leave_one_out_mask_ignores_own_tree():
             assert preds[:, k].sum() == 5 + (1 if b >= 5 else -1)
             assert flipped.stops(0, x)[k] == (b >= 5)
             np.testing.assert_array_equal(flipped.stops(0, x), bag_majority(preds))
-            assert flipped.stops(0, x, own)[k] == loo[k]
-            np.testing.assert_array_equal(flipped.stops(0, x, own), bag_majority(preds, own))
+            assert flipped.stops(0, x, own)[0][k] == loo[k]
+            np.testing.assert_array_equal(flipped.stops(0, x, own)[0], bag_majority(preds, own))
 
 
 def test_loo_threshold_is_half_of_remaining_bags():
@@ -491,8 +514,9 @@ def test_loo_threshold_is_half_of_remaining_bags():
         stopper = bag_vote_stopper(5, 10, n_features)
         preds = all_tree_votes(stopper, x)
         np.testing.assert_array_equal(preds.sum(axis=0) - preds[own, [0, 1]], [5, 4])
-        loo = stopper.stops(0, x, own)
+        loo, every = stopper.stops(0, x, own)
         assert loo.dtype == bool
+        np.testing.assert_array_equal(every, [True, True])
         np.testing.assert_array_equal(loo, [True, False])
         np.testing.assert_array_equal(loo, bag_majority(preds, own))
         np.testing.assert_array_equal(stopper.stops(0, x), [True, True])
@@ -510,7 +534,7 @@ def test_reward_augmented_features_reproduce_published_max_call():
     cfg = TrainConfig(10, GrowConfig(), "raw_plus_reward", 3303)
     from treestop.valuation import value_of_rule
 
-    rep = value_of_rule(apply(train(tr, rspec, cfg), te))
+    rep = value_of_rule(apply(train(tr, rspec, cfg)[0], te))
     assert abs(rep.value - 7.971) <= 0.15
 
 
@@ -524,14 +548,14 @@ def test_trained_rule_attains_discrete_optimum(seed):
     paths = make_markov_instance(seed, num_steps=3)
     spec = RewardSpec("put", 0.0, 220.0, 1.0, 3)
     cfg = TrainConfig(2, GrowConfig(max_depth=8, min_node_size=1), "raw", 5)
-    trained = value_of_rule(apply(train(paths, spec, cfg), paths)).value
+    trained = value_of_rule(apply(train(paths, spec, cfg)[0], paths)).value
     assert trained == oracle_enumerate(paths, spec).value
 
 
 def test_serialize_parse_round_trip():
     paths = small_put_ensemble(num_paths=120, seed=30)
     cfg = TrainConfig(3, GrowConfig(max_depth=3), "raw", 6)
-    stopper = train(paths, PUT4, cfg)
+    stopper, _ = train(paths, PUT4, cfg)
     clone = BaggedStopper.parse(stopper.serialize(), PUT4)
     assert clone.serialize() == stopper.serialize()
     res_a = apply(stopper, paths)
@@ -541,7 +565,7 @@ def test_serialize_parse_round_trip():
 
 def test_parse_rejects_wrong_reward_spec():
     paths = small_put_ensemble(num_paths=60)
-    stopper = train(paths, PUT4, TrainConfig(2, GrowConfig(max_depth=2), "raw", 1))
+    stopper, _ = train(paths, PUT4, TrainConfig(2, GrowConfig(max_depth=2), "raw", 1))
     other = RewardSpec("put", 0.01, 100.0, 1.0, 4)
     with pytest.raises(ValueError):
         BaggedStopper.parse(stopper.serialize(), other)

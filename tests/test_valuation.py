@@ -68,7 +68,7 @@ def test_v_max_dominates_any_rule():
     paths = generate_gbm(spec, 400, seed=5, label="test")
     upper = v_max(path_maxima(paths, PUT4))
     cfg = TrainConfig(4, GrowConfig(max_depth=3), "raw", 3)
-    trained = train(generate_gbm(spec, 400, seed=6), PUT4, cfg)
+    trained, _ = train(generate_gbm(spec, 400, seed=6), PUT4, cfg)
     res = apply(trained, paths)
     assert v_max(res.best) == upper  # the path maxima do not depend on the rule
     rep = value_of_rule(res)
@@ -203,7 +203,7 @@ def test_oracle_dominates_trained_stopper():
     paths = make_markov_instance(41, num_steps=3)
     spec = RewardSpec("put", 0.0, 220.0, 1.0, 3)
     cfg = TrainConfig(2, GrowConfig(max_depth=8, min_node_size=1), "raw", 5)
-    res = apply(train(paths, spec, cfg), paths)
+    res = apply(train(paths, spec, cfg)[0], paths)
     assert value_of_rule(res).value <= oracle_enumerate(paths, spec).value + 1e-9
 
 
