@@ -190,8 +190,8 @@ def _value_pass(cfg: ExperimentConfig, label: str, stopper: BaggedStopper,
     reductions over them give the bytes of a whole-ensemble run.  Returns the
     whole ensemble's stop result and the filled per-path vectors by name.
     The test ensemble is always valued here; the training ensemble only by an
-    ``evaluate`` that finds no matching v_train.csv, since a fit values its
-    own training paths.
+    ``evaluate`` that finds no matching v_train.csv and does not hold the
+    ensemble for cfg.with_ls, since a fit values its own training paths.
     """
     per_path = per_path or {}
     K = cfg.num_paths(label)
@@ -225,18 +225,19 @@ def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = T
     ls_test when cfg.with_ls.  A loaded stopper's v_train comes from the
     v_train.csv next to ``stopper_file`` when its provenance line is the
     config's and its stopper hash the stopper's; otherwise, or when the file
-    is missing or malformed, the training ensemble is streamed and valued
-    again, with the same bytes.  ``boundary`` writes the test ensemble's
-    boundary CSVs, with residuals against ``boundary_file`` when given, and
-    stop_region.csv when the stopper's trees read one feature.  The config,
-    the path counts of the ensembles the run simulates, the feature mode, the
-    cfg.with_ls scope and a loaded stopper's bags, feature mode and tree width
-    are checked before any ensemble is simulated.  The training ensemble is held whole
-    for the cfg.with_ls regression and for a fit whose features are at least
-    as wide as the states (raw, raw_plus_reward, and four_features at few
-    assets); a fit on narrower features streams it in path chunks into a
-    feature block (``stopper.feature_block``), and every valuation streams
-    its ensemble in path chunks (``_value_pass``); a streamed pass holds two
+    is missing or malformed, the training ensemble is valued again, with the
+    same bytes: in place when cfg.with_ls holds it, streamed otherwise.
+    ``boundary`` writes the test ensemble's boundary CSVs, with residuals
+    against ``boundary_file`` when given, and stop_region.csv when the
+    stopper's trees read one feature.  The config, the path counts of the
+    ensembles the run simulates, the feature mode, the cfg.with_ls scope and a
+    loaded stopper's bags, feature mode and tree width are checked before any
+    ensemble is simulated.  The training ensemble is held whole for the
+    cfg.with_ls regression and for a fit whose features are at least as wide
+    as the states (raw, raw_plus_reward, and four_features at few assets); a
+    fit on narrower features streams it in path chunks into a feature block
+    (``stopper.feature_block``), and every other valuation streams its
+    ensemble in path chunks (``_value_pass``); a streamed pass holds two
     chunks of half ``CHUNK_BYTES``, the next one simulated on a worker thread
     while this one is used.  Returns the reports by kind.
     """
@@ -276,10 +277,14 @@ def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = T
     if fit:
         with open(os.path.join(cfg.out, "config_resolved.cfg"), "w") as fh:
             fh.write(cfg.serialize())
+    if value and not fit:  # the v_train its fit cached next to the stopper, if it matches
+        stopper_hash = stopper.content_hash()
+        rep_train = _cached_v_train(os.path.join(os.path.dirname(stopper_file), V_TRAIN_CSV),
+                                    cfg, stopper_hash)
     if fit or with_ls:
-        # the LS baseline reads the ensemble whole, and a block of features at
-        # least as wide as the states would take more memory than the ensemble
-        held = with_ls or width >= probe.data.shape[2]
+        # a block of features at least as wide as the states would take more
+        # memory than the ensemble; the LS baseline's 1-D put is always held
+        held = width >= probe.data.shape[2]
         paths_train = cfg.make_ensemble(TRAIN_LABEL) if held else None
         if fit:
             # a feature block is a temporary, dropped once train returns
@@ -296,19 +301,17 @@ def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = T
                 _write_v_train_csv(cfg.out, cfg, rep_train)
         if with_ls:
             ls_rule = ls_fit(paths_train, reward_spec)
+            if rep_train is None:  # apply works row by row: the bytes of a streamed pass
+                rep_train = value_of_rule(apply(stopper, paths_train), stopper_hash)
         del paths_train
     if not (value or boundary):
         return {}
 
     reports = []
     per_path = {}
-    if value:
-        if not fit:  # the v_train its fit cached next to the stopper, or a pass of its own
-            stopper_hash = stopper.content_hash()
-            cached = os.path.join(os.path.dirname(stopper_file), V_TRAIN_CSV)
-            rep_train = (_cached_v_train(cached, cfg, stopper_hash)
-                         or value_of_rule(_value_pass(cfg, TRAIN_LABEL, stopper)[0], stopper_hash))
-        reports.append(rep_train)
+    if value:  # a loaded stopper with neither the cache nor the held ensemble streams its own
+        reports.append(rep_train or value_of_rule(_value_pass(cfg, TRAIN_LABEL, stopper)[0],
+                                                  stopper_hash))
     if with_ls:
         per_path[LS_TEST] = lambda chunk, _: ls_forward(ls_rule, chunk, reward_spec)
     if boundary:

@@ -103,39 +103,39 @@ class BaggedStopper:
         ``loo`` (k,) says whether at least half of the bags other than bag
         ``own[i]`` vote STOP on row i (the leave-one-bag-out vote of
         training), and ``every`` is the all-bag vote above; rows past k belong
-        to no bag.  Both come from one pass in which every bag votes on every
-        row.  Without ``own``, a step without an interval table routes rows
-        tree by tree, on column-major features, and stops routing a row once
-        the votes still to come cannot change its majority.
+        to no bag.  Both come from each row's STOP count over all bags and its
+        own bag's vote.  A step without an interval table routes rows tree by
+        tree, on column-major features, and drops a row once its count settles
+        each decision asked for, however the bags still to come vote.
         """
         need = (self.bags + 1) // 2
         need_loo = self.bags // 2  # half of the other bags, rounded up
+        k = None if own is None else own.shape[0]
         table = self.interval_table(n)
         if table is not None:
             if feats.ndim != 2 or feats.shape[1] != 1:
                 raise ValueError(f"expected feature dim 1, got shape {feats.shape}")
             idx = np.searchsorted(table.breaks, feats[:, 0], side="left")
             count = table.count[idx]
-            if own is None:
-                return count >= need
-            loo = count[:own.shape[0]] - table.votes[own, idx[:own.shape[0]]]
-            return loo >= need_loo, count >= need
-        cols = np.asfortranarray(feats)
-        count = np.zeros(feats.shape[0], dtype=np.int32)
-        if own is not None:
-            own_vote = np.zeros(own.shape[0], dtype=np.int8)
+            own_vote = None if own is None else table.votes[own, idx[:k]]
+        else:
+            # need_loo <= need <= need_loo + 1, so a count that reaches hi or
+            # cannot reach lo fixes both votes, whatever the own bag's vote
+            lo, hi = (need, need) if own is None else (need_loo, need_loo + 1)
+            cols = np.asfortranarray(feats)
+            count = np.zeros(feats.shape[0], dtype=np.int32)
+            own_vote = None if own is None else np.zeros(k, dtype=np.int8)
+            rows = np.arange(feats.shape[0])
             for b in range(self.bags):
-                vote = self.trees[b][n].predict(cols)
+                vote = self.trees[b][n].predict(cols, rows)
                 count += vote
-                np.copyto(own_vote, vote[:own.shape[0]], where=own == b)
-            return count[:own.shape[0]] - own_vote >= need_loo, count >= need
-        rows = np.arange(feats.shape[0])
-        for b in range(self.bags):
-            count += self.trees[b][n].predict(cols, rows)
-            if b + 1 >= min(need, self.bags - need + 1):  # no row is decided before
-                seen = count.take(rows)
-                rows = rows.compress((seen < need) & (seen + self.bags - 1 - b >= need))
-        return count >= need
+                if own is not None:
+                    np.copyto(own_vote, vote[:k], where=own == b)
+                if b + 1 >= min(hi, self.bags - lo + 1):  # no row is settled before
+                    seen = count.take(rows)
+                    rows = rows.compress((seen < hi) & (seen + self.bags - 1 - b >= lo))
+        every = count >= need
+        return every if own is None else (count[:k] - own_vote >= need_loo, every)
 
     def serialize(self) -> str:
         lines = [

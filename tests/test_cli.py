@@ -169,13 +169,15 @@ def test_chunked_valuation_keeps_every_output_byte(tmp_path, monkeypatch, extra)
     for name in one_chunk:
         assert chunked[name] == one_chunk[name], name
 
-    # without the fit's v_train.csv, evaluate streams the training ensemble in
-    # the same chunks to value it, and writes the same bytes
+    # without the fit's v_train.csv, evaluate values the training ensemble in
+    # place when with_ls holds it and otherwise streams it in the same chunks,
+    # and writes the same bytes
     (tmp_path / "run" / "v_train.csv").unlink()
     sizes.clear()
     assert main(["evaluate", "--config", str(tmp_path / "run" / "config_resolved.cfg"),
                  "--stopper", str(tmp_path / "run" / "stopper.txt")]) == 0
-    assert sizes == [(label, k) for label in ("training", "test") for k in (133, 133, 133, 1)]
+    labels = ("test",) if cfg.with_ls else ("training", "test")
+    assert sizes == [(label, k) for label in labels for k in (133, 133, 133, 1)]
     for name in chunked.keys() - {"v_train.csv"}:
         assert (tmp_path / "run" / name).read_bytes() == one_chunk[name], name
 
@@ -324,14 +326,20 @@ V_TRAIN_EDITS = {
 }
 
 
-@pytest.mark.parametrize("edit", V_TRAIN_EDITS)
-def test_evaluate_reuses_only_a_matching_v_train_csv(tmp_path, monkeypatch, edit):
+@pytest.mark.parametrize("edit, settings, drawn_on_miss", [
+    *((edit, [], [("training", 302), ("test", 300)]) for edit in V_TRAIN_EDITS),
+    ("missing", ["--set", "with_ls=true"], [("test", 300)]),
+], ids=[*V_TRAIN_EDITS, "missing_with_ls"])
+def test_evaluate_reuses_only_a_matching_v_train_csv(tmp_path, monkeypatch, edit, settings,
+                                                     drawn_on_miss):
     # evaluate takes v_train from the v_train.csv its stopper's fit wrote when
     # the provenance line and stopper hash match; any other file is a cache
     # miss, not an error: evaluate values the training ensemble, as it would
-    # without the file, and writes the same valuation.csv either way
+    # without the file, and writes the same valuation.csv either way.  With
+    # with_ls it holds that ensemble for the regression, so it values it in
+    # place instead of streaming it again
     common = ["--set", "k_train=302", "--set", "k_test=300", "--set", "steps=5",
-              "--set", "bags=4", "--out", str(tmp_path)]
+              "--set", "bags=4", *settings, "--out", str(tmp_path)]
     assert main(["train", *common]) == 0
     evaluate = ["evaluate", "--stopper", str(tmp_path / "stopper.txt"), *common]
     drawn = record_chunks(monkeypatch)
@@ -341,7 +349,7 @@ def test_evaluate_reuses_only_a_matching_v_train_csv(tmp_path, monkeypatch, edit
     V_TRAIN_EDITS[edit](tmp_path / "v_train.csv")
     drawn.clear()
     assert main(evaluate) == 0
-    assert drawn == [("training", 302), ("test", 300)]
+    assert drawn == drawn_on_miss
     assert (tmp_path / "valuation.csv").read_bytes() == cached
 
 

@@ -126,7 +126,7 @@ def assert_votes_like_trees(stopper, n, feats, preds, own):
     assert full.dtype == bool and full.shape == (feats.shape[0],)
     np.testing.assert_array_equal(full, bag_majority(preds))
     np.testing.assert_array_equal(full, preds.sum(axis=0) * 2 >= preds.shape[0])
-    for owned in (own, own[:len(own) // 2]):
+    for owned in (own, own[:len(own) // 2], own[:0]):
         loo, every = stopper.stops(n, feats, owned)
         assert loo.dtype == bool and loo.shape == owned.shape
         np.testing.assert_array_equal(loo, bag_majority(preds[:, :len(owned)], owned))
@@ -521,6 +521,30 @@ def test_loo_threshold_is_half_of_remaining_bags():
         np.testing.assert_array_equal(loo, bag_majority(preds, own))
         np.testing.assert_array_equal(stopper.stops(0, x), [True, True])
         np.testing.assert_array_equal(stopper.stops(0, x), bag_majority(preds))
+
+
+@pytest.mark.parametrize("stopping_bags", [10, 0])
+def test_leave_one_out_vote_stops_routing_settled_rows(monkeypatch, stopping_bags):
+    # 10 bags that all vote alike: after 6 of them every row's count is 6
+    # STOP votes, or 0 with 4 to come, which settles its leave-one-out vote (5
+    # of the other 9) and its all-bag vote (5 of 10), so the last four trees
+    # route no row; rows past own's 17 belong to no bag
+    x = np.linspace(-1.0, 1.0, 40).reshape(20, 2)
+    own = np.arange(17) % 10
+    stopper = bag_vote_stopper(stopping_bags, 10, 2)
+    preds = all_tree_votes(stopper, x)
+    routed = []
+    predict = CartTree.predict
+
+    def counted(self, x, rows=None):
+        routed.append(x.shape[0] if rows is None else len(rows))
+        return predict(self, x, rows)
+
+    monkeypatch.setattr(CartTree, "predict", counted)
+    loo, every = stopper.stops(0, x, own)
+    assert routed == [20] * 6 + [0] * 4
+    np.testing.assert_array_equal(loo, bag_majority(preds[:, :17], own))
+    np.testing.assert_array_equal(every, bag_majority(preds))
 
 
 def test_reward_augmented_features_reproduce_published_max_call():
