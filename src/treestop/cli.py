@@ -12,6 +12,10 @@ Subcommands:
 All outputs are CSV with documented headers; floats print with %.12g.  Every
 output embeds the resolved config hash and the seeds, so reruns with the same
 config are byte-identical (benchmark wall-time columns excepted).
+v_train.csv, the cache of a fit's v_train, embeds them for the config with
+the fields v_train does not read reset (k_test, seed_test, with_ls,
+with_boundary, reference and out), so an evaluate of the same fit reuses it
+whatever its test side or output directory.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from treestop.valuation import (
 )
 
 V_TRAIN_CSV = "v_train.csv"
-_V_TRAIN_HEADER = "kind,value,se,ensemble_seed,stopper_hash\n"
+_V_TRAIN_HEADER = "kind,value,se,ensemble_seed,stopper_hash"
 
 
 def _fmt(x: float) -> str:
@@ -60,43 +64,41 @@ def _fmt(x: float) -> str:
 
 def _provenance(cfg: ExperimentConfig) -> str:
     return (f"# config_hash={cfg.config_hash()} seed_train={cfg.seed_train} "
-            f"seed_test={cfg.seed_test} seed_bagging={cfg.seed_bagging}\n")
+            f"seed_test={cfg.seed_test} seed_bagging={cfg.seed_bagging}")
 
 
-def _write_valuation_csv(path, cfg: ExperimentConfig, reports) -> None:
+def _write_csv(path, cfg: ExperimentConfig, header: str, rows) -> None:
+    """Write ``cfg``'s provenance line, ``header``, then one comma-joined line per row."""
     with open(path, "w") as fh:
-        fh.write(_provenance(cfg))
-        fh.write("kind,value,se,ensemble_seed,stopper_hash,reference_delta\n")
-        for rep in reports:
-            delta = ""
-            if cfg.reference and rep.kind == V_TEST:
-                delta = _fmt(rep.value - cfg.reference)
-            fh.write(f"{rep.kind},{_fmt(rep.value)},{_fmt(rep.se)},"
-                     f"{rep.ensemble_seed if rep.ensemble_seed is not None else ''},"
-                     f"{rep.stopper_hash or ''},{delta}\n")
+        fh.write(_provenance(cfg) + "\n")
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
-def _write_v_train_csv(out_dir, cfg: ExperimentConfig, rep: ValuationReport) -> None:
-    """Cache a fit's v_train report next to its stopper.txt, floats as repr."""
-    with open(os.path.join(out_dir, V_TRAIN_CSV), "w") as fh:
-        fh.write(_provenance(cfg))
-        fh.write(_V_TRAIN_HEADER)
-        fh.write(f"{rep.kind},{rep.value!r},{rep.se!r},{rep.ensemble_seed},{rep.stopper_hash}\n")
+def _v_train_config(cfg: ExperimentConfig) -> ExperimentConfig:
+    """``cfg`` with every field ``v_train`` does not depend on reset: the key of v_train.csv.
+
+    What is left fixes the training ensemble and the fit; the stopper hash in
+    the row covers the stopper itself.
+    """
+    return replace(cfg, k_test=0, seed_test=0, with_ls=False, with_boundary=False,
+                   reference=0.0, out="")
 
 
 def _cached_v_train(path, cfg: ExperimentConfig, stopper_hash: str) -> ValuationReport | None:
     """The v_train report ``path`` caches for this config and stopper, or None.
 
     The file is a cache, not an input: a missing, unreadable or malformed file,
-    or one written for another config (provenance line) or another stopper
-    (hash), gives None, and the caller values the training ensemble itself.
+    or one written for another training config (provenance line of
+    ``_v_train_config``) or another stopper (hash), gives None, and the caller
+    values the training ensemble itself.
     """
     try:
         with open(path) as fh:
-            lines = fh.read().splitlines(keepends=True)
-        if len(lines) != 3 or lines[:2] != [_provenance(cfg), _V_TRAIN_HEADER]:
+            lines = fh.read().splitlines()
+        if len(lines) != 3 or lines[:2] != [_provenance(_v_train_config(cfg)), _V_TRAIN_HEADER]:
             return None
-        kind, value, se, seed, cached_hash = lines[2].rstrip("\n").split(",")
+        kind, value, se, seed, cached_hash = lines[2].split(",")
         if (kind, seed, cached_hash) != (V_TRAIN, str(cfg.seed_train), stopper_hash):
             return None
         return ValuationReport(V_TRAIN, float(value), float(se), cfg.seed_train, stopper_hash)
@@ -104,26 +106,18 @@ def _cached_v_train(path, cfg: ExperimentConfig, stopper_hash: str) -> Valuation
         return None
 
 
-def _write_boundary_csv(out_dir, cfg, scatter) -> None:
-    with open(os.path.join(out_dir, "boundary.csv"), "w") as fh:
-        fh.write(_provenance(cfg))
-        if scatter.residuals is None:
-            fh.write("n,x,path_id\n")
-            for n, x, k in zip(scatter.steps, scatter.values, scatter.path_ids):
-                fh.write(f"{n},{_fmt(x)},{k}\n")
-        else:
-            fh.write("n,x,path_id,residual\n")
-            for n, x, k, r in zip(scatter.steps, scatter.values, scatter.path_ids,
-                                  scatter.residuals):
-                fh.write(f"{n},{_fmt(x)},{k},{_fmt(r)}\n")
-    with open(os.path.join(out_dir, "boundary_summary.csv"), "w") as fh:
-        fh.write(_provenance(cfg))
-        fh.write("n,mean,count\n")
-        for n, (mean, count) in enumerate(zip(scatter.mean_by_step, scatter.counts)):
-            fh.write(f"{n},{'' if np.isnan(mean) else _fmt(mean)},{count}\n")
+def _write_boundary_csv(cfg: ExperimentConfig, scatter) -> None:
+    columns = {"n": scatter.steps, "x": map(_fmt, scatter.values), "path_id": scatter.path_ids}
+    if scatter.residuals is not None:
+        columns["residual"] = map(_fmt, scatter.residuals)
+    _write_csv(os.path.join(cfg.out, "boundary.csv"), cfg, ",".join(columns),
+               zip(*columns.values()))
+    _write_csv(os.path.join(cfg.out, "boundary_summary.csv"), cfg, "n,mean,count",
+               ((n, "" if np.isnan(mean) else _fmt(mean), count)
+                for n, (mean, count) in enumerate(zip(scatter.mean_by_step, scatter.counts))))
 
 
-def _write_stop_region_csv(out_dir, cfg, stopper: BaggedStopper) -> None:
+def _write_stop_region_csv(cfg: ExperimentConfig, stopper: BaggedStopper) -> None:
     """Write each step's vote table: one row per interval lo < x <= hi.
 
     A row's ``votes`` counts the bags voting STOP there, so the rule stops at
@@ -133,13 +127,11 @@ def _write_stop_region_csv(out_dir, cfg, stopper: BaggedStopper) -> None:
     tables = [stopper.interval_table(n) for n in range(cfg.steps)]
     if any(table is None for table in tables):
         return
-    with open(os.path.join(out_dir, "stop_region.csv"), "w") as fh:
-        fh.write(_provenance(cfg))
-        fh.write("n,lo,hi,votes\n")
-        for n, table in enumerate(tables):
-            edges = [-np.inf, *table.breaks.tolist(), np.inf]
-            for i, votes in enumerate(table.count.tolist()):
-                fh.write(f"{n},{edges[i]!r},{edges[i + 1]!r},{votes}\n")
+    rows = []
+    for n, table in enumerate(tables):
+        edges = [-np.inf, *table.breaks.tolist(), np.inf]
+        rows.extend((n, *row) for row in zip(edges, edges[1:], table.count.tolist()))
+    _write_csv(os.path.join(cfg.out, "stop_region.csv"), cfg, "n,lo,hi,votes", rows)
 
 
 def _load_theoretical(path, steps: int) -> np.ndarray:
@@ -177,30 +169,30 @@ def _load_theoretical(path, steps: int) -> np.ndarray:
     return out
 
 
-def _value_pass(cfg: ExperimentConfig, label: str, stopper: BaggedStopper,
+def _value_pass(chunks, num_paths: int, stopper: BaggedStopper,
                 per_path: dict | None = None) -> tuple[StopResult, dict]:
-    """Simulate the ``label`` ensemble chunk by chunk and value each chunk as it comes.
+    """Apply ``stopper`` to each chunk of a ``num_paths``-path ensemble as it comes.
 
-    ``gbm_chunks`` simulates the next chunk on a worker thread while this one
-    is valued, so the pass holds two chunks of half ``CHUNK_BYTES``.  Each
-    chunk is applied to, then ``per_path[name](chunk, chunk_result)`` gives
-    that chunk's rows of the per-path vector ``name``.  Those vectors and the
-    stop result's are allocated at length K before the first chunk, so an
-    impossible K fails at once, and are filled at the chunk's offset;
-    reductions over them give the bytes of a whole-ensemble run.  Returns the
-    whole ensemble's stop result and the filled per-path vectors by name.
-    The test ensemble is always valued here; the training ensemble only by an
-    ``evaluate`` that finds no matching v_train.csv and does not hold the
-    ensemble for cfg.with_ls, since a fit values its own training paths.
+    ``chunks`` is any ensemble in path order: a stream of chunks
+    (``cfg.ensemble_chunks(label)``, which simulates the next chunk on a
+    worker thread while this one is valued, so the pass holds two chunks of
+    half ``CHUNK_BYTES``), or ``[paths]`` for an ensemble already held whole.
+    Each chunk is applied to, then ``per_path[name](chunk, chunk_result)``
+    gives that chunk's rows of the per-path vector ``name``.  Those vectors
+    and the stop result's are allocated at length ``num_paths`` before the
+    first chunk, so an impossible count fails at once, and are filled at the
+    chunk's offset; apply works row by row, so reductions over them give the
+    bytes of a whole-ensemble run whatever the chunks.  Returns the whole
+    ensemble's stop result and the filled per-path vectors by name.  This is
+    the one place a run applies its stopper.
     """
     per_path = per_path or {}
-    K = cfg.num_paths(label)
-    stop_step = np.empty(K, dtype=np.int64)
-    realized = np.empty(K)
-    best = np.empty(K)
-    filled = {name: np.empty(K) for name in per_path}
+    stop_step = np.empty(num_paths, dtype=np.int64)
+    realized = np.empty(num_paths)
+    best = np.empty(num_paths)
+    filled = {name: np.empty(num_paths) for name in per_path}
     start = 0
-    for chunk in cfg.ensemble_chunks(label):
+    for chunk in chunks:
         rows = slice(start, start + chunk.num_paths)
         res = apply(stopper, chunk)
         stop_step[rows] = res.stop_step
@@ -222,24 +214,24 @@ def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = T
     only computes a boundary, v_train.csv: the all-bag rule's value on the
     training paths, which ``train`` returns with the stopper.  ``value``
     writes valuation.csv with v_train, v_test and v_max, plus ls_train and
-    ls_test when cfg.with_ls.  A loaded stopper's v_train comes from the
-    v_train.csv next to ``stopper_file`` when its provenance line is the
-    config's and its stopper hash the stopper's; otherwise, or when the file
-    is missing or malformed, the training ensemble is valued again, with the
-    same bytes: in place when cfg.with_ls holds it, streamed otherwise.
-    ``boundary`` writes the test ensemble's boundary CSVs, with residuals
-    against ``boundary_file`` when given, and stop_region.csv when the
-    stopper's trees read one feature.  The config, the path counts of the
-    ensembles the run simulates, the feature mode, the cfg.with_ls scope and a
-    loaded stopper's bags, feature mode and tree width are checked before any
-    ensemble is simulated.  The training ensemble is held whole for the
-    cfg.with_ls regression and for a fit whose features are at least as wide
-    as the states (raw, raw_plus_reward, and four_features at few assets); a
-    fit on narrower features streams it in path chunks into a feature block
-    (``stopper.feature_block``), and every other valuation streams its
-    ensemble in path chunks (``_value_pass``); a streamed pass holds two
-    chunks of half ``CHUNK_BYTES``, the next one simulated on a worker thread
-    while this one is used.  Returns the reports by kind.
+    ls_test when cfg.with_ls.  ``boundary`` writes the test ensemble's
+    boundary CSVs, with residuals against ``boundary_file`` when given, and
+    stop_region.csv when the stopper's trees read one feature.
+
+    The config, the path counts of the ensembles the run simulates, the
+    feature mode, the cfg.with_ls scope and a loaded stopper's bags, feature
+    mode and tree width are checked before any ensemble is simulated.  Then
+    the stages run in one order: the fit, the cfg.with_ls regression, the
+    v_train of a loaded stopper, the test pass.  The training ensemble is
+    held whole for the regression and for a fit whose features are at least
+    as wide as the states (raw, raw_plus_reward, and four_features at few
+    assets); a fit on narrower features streams it in path chunks into a
+    feature block (``stopper.feature_block``).  A loaded stopper's v_train
+    comes from the v_train.csv next to ``stopper_file`` when its provenance
+    line is that of ``_v_train_config(cfg)`` and its stopper hash the
+    stopper's; otherwise ``_value_pass`` values the training ensemble, the
+    held one or a stream of it, with the same bytes.  The test ensemble is
+    always streamed through ``_value_pass``.  Returns the reports by kind.
     """
     fit = stopper_file is None
     with_ls = value and cfg.with_ls
@@ -281,52 +273,54 @@ def _run(cfg: ExperimentConfig, stopper_file: str | None = None, value: bool = T
         stopper_hash = stopper.content_hash()
         rep_train = _cached_v_train(os.path.join(os.path.dirname(stopper_file), V_TRAIN_CSV),
                                     cfg, stopper_hash)
-    if fit or with_ls:
-        # a block of features at least as wide as the states would take more
-        # memory than the ensemble; the LS baseline's 1-D put is always held
-        held = width >= probe.data.shape[2]
-        paths_train = cfg.make_ensemble(TRAIN_LABEL) if held else None
-        if fit:
-            # a feature block is a temporary, dropped once train returns
-            stopper, realized = train(paths_train if held else
-                                      feature_block(cfg.ensemble_chunks(TRAIN_LABEL), cfg.k_train,
-                                                    width, reward_spec, cfg.feature_mode),
-                                      reward_spec, train_config)
-            with open(os.path.join(cfg.out, "stopper.txt"), "w") as fh:
-                fh.write(_provenance(cfg))
-                fh.write(stopper.serialize())
-            if value or not boundary:  # a boundary-only run values nothing
-                stopper_hash = stopper.content_hash()
-                rep_train = v_train(realized, cfg.seed_train, stopper_hash)
-                _write_v_train_csv(cfg.out, cfg, rep_train)
-        if with_ls:
-            ls_rule = ls_fit(paths_train, reward_spec)
-            if rep_train is None:  # apply works row by row: the bytes of a streamed pass
-                rep_train = value_of_rule(apply(stopper, paths_train), stopper_hash)
-        del paths_train
+    # a block of features at least as wide as the states would take more memory
+    # than the ensemble; the regression's 1-D put is always held
+    held = (fit or with_ls) and width >= probe.data.shape[2]
+    paths_train = cfg.make_ensemble(TRAIN_LABEL) if held else None
+    if fit:
+        # a feature block is a temporary, dropped once train returns
+        stopper, realized = train(paths_train if held else
+                                  feature_block(cfg.ensemble_chunks(TRAIN_LABEL), cfg.k_train,
+                                                width, reward_spec, cfg.feature_mode),
+                                  reward_spec, train_config)
+        with open(os.path.join(cfg.out, "stopper.txt"), "w") as fh:
+            fh.write(_provenance(cfg) + "\n")
+            fh.write(stopper.serialize())
+        if value or not boundary:  # a boundary-only run values nothing
+            stopper_hash = stopper.content_hash()
+            rep_train = v_train(realized, cfg.seed_train, stopper_hash)
+            _write_csv(os.path.join(cfg.out, V_TRAIN_CSV), _v_train_config(cfg), _V_TRAIN_HEADER,
+                       [(V_TRAIN, rep_train.value, rep_train.se, cfg.seed_train, stopper_hash)])
+    if with_ls:
+        ls_rule = ls_fit(paths_train, reward_spec)
+    if value and rep_train is None:  # a loaded stopper without a matching v_train.csv
+        rep_train = value_of_rule(_value_pass([paths_train] if held else
+                                              cfg.ensemble_chunks(TRAIN_LABEL), cfg.k_train,
+                                              stopper)[0], stopper_hash)
+    del paths_train
     if not (value or boundary):
         return {}
 
-    reports = []
     per_path = {}
-    if value:  # a loaded stopper with neither the cache nor the held ensemble streams its own
-        reports.append(rep_train or value_of_rule(_value_pass(cfg, TRAIN_LABEL, stopper)[0],
-                                                  stopper_hash))
     if with_ls:
         per_path[LS_TEST] = lambda chunk, _: ls_forward(ls_rule, chunk, reward_spec)
     if boundary:
         per_path["stopped"] = lambda chunk, res: stopped_values(res, chunk)
-    res_test, filled = _value_pass(cfg, TEST_LABEL, stopper, per_path)
-    if value:
-        reports.append(value_of_rule(res_test, stopper_hash))
-        reports.append(v_max(res_test.best, res_test.ensemble_seed))
-        if with_ls:
-            reports.extend(ls_value(ls_rule, filled[LS_TEST], res_test.ensemble_seed))
-        _write_valuation_csv(os.path.join(cfg.out, "valuation.csv"), cfg, reports)
+    res_test, filled = _value_pass(cfg.ensemble_chunks(TEST_LABEL), cfg.k_test, stopper, per_path)
     if boundary:
-        _write_boundary_csv(cfg.out, cfg, extract_boundary(res_test, filled["stopped"],
-                                                           theoretical))
-        _write_stop_region_csv(cfg.out, cfg, stopper)
+        _write_boundary_csv(cfg, extract_boundary(res_test, filled["stopped"], theoretical))
+        _write_stop_region_csv(cfg, stopper)
+    if not value:
+        return {}
+    reports = [rep_train, value_of_rule(res_test, stopper_hash),
+               v_max(res_test.best, res_test.ensemble_seed),
+               *(ls_value(ls_rule, filled[LS_TEST], res_test.ensemble_seed) if with_ls else ())]
+    _write_csv(os.path.join(cfg.out, "valuation.csv"), cfg,
+               "kind,value,se,ensemble_seed,stopper_hash,reference_delta",
+               [(rep.kind, _fmt(rep.value), _fmt(rep.se),
+                 "" if rep.ensemble_seed is None else rep.ensemble_seed, rep.stopper_hash or "",
+                 _fmt(rep.value - cfg.reference) if cfg.reference and rep.kind == V_TEST else "")
+                for rep in reports])
     return {rep.kind: rep for rep in reports}
 
 

@@ -248,9 +248,11 @@ def test_fit_values_its_training_paths_like_the_streamed_pass(tmp_path, monkeypa
     # a one-feature step votes through its interval table, a wider one tree by tree
     assert (stopper.interval_table(0) is None) == (mode != "raw" or dim > 1)
     lines = (tmp_path / "v_train.csv").read_text().splitlines()
-    assert lines[:2] == [cli._provenance(cfg).strip(), "kind,value,se,ensemble_seed,stopper_hash"]
+    assert lines[:2] == [cli._provenance(cli._v_train_config(cfg)).strip(),
+                         "kind,value,se,ensemble_seed,stopper_hash"]
     kind_, value, se, seed, stopper_hash = lines[2].split(",")
-    streamed = value_of_rule(cli._value_pass(cfg, "training", stopper)[0])
+    streamed = value_of_rule(cli._value_pass(cfg.ensemble_chunks("training"), cfg.k_train,
+                                             stopper)[0])
     assert (kind_, seed, stopper_hash) == ("v_train", str(cfg.seed_train), stopper.content_hash())
     assert (float(value), float(se)) == (streamed.value, streamed.se)
 
@@ -351,6 +353,36 @@ def test_evaluate_reuses_only_a_matching_v_train_csv(tmp_path, monkeypatch, edit
     assert main(evaluate) == 0
     assert drawn == drawn_on_miss
     assert (tmp_path / "valuation.csv").read_bytes() == cached
+
+
+@pytest.mark.parametrize("change, drawn", [
+    (["--out", "B"], [("test", 300)]),
+    (["--set", "k_test=301"], [("test", 301)]),
+    (["--set", "with_boundary=true"], [("test", 300)]),
+    (["--set", "seed_train=7"], [("training", 302), ("test", 300)]),
+    (["--set", "x0=95"], [("training", 302), ("test", 300)]),
+    (["--set", "k_train=303"], [("training", 303), ("test", 300)]),
+], ids=["other_out", "other_k_test", "with_boundary", "other_seed_train", "other_x0",
+        "other_k_train"])
+def test_evaluate_keys_v_train_csv_on_the_training_config(tmp_path, monkeypatch, change, drawn):
+    # v_train.csv is keyed on the config with the fields v_train does not read
+    # reset: an evaluate that changes only the output directory or the test
+    # side reuses it and draws only the test ensemble, one that changes the
+    # training ensemble values that ensemble again.  Either way valuation.csv
+    # has the bytes of an evaluate without the file
+    monkeypatch.chdir(tmp_path)
+    common = ["--set", "k_train=302", "--set", "k_test=300", "--set", "steps=5",
+              "--set", "bags=4", "--out", "A"]
+    assert main(["train", *common]) == 0
+    evaluate = ["evaluate", "--stopper", "A/stopper.txt", *common, *change]
+    sizes = record_chunks(monkeypatch)
+    assert main(evaluate) == 0
+    assert sizes == drawn
+    out = tmp_path / ("B" if "B" in change else "A")
+    valued = (out / "valuation.csv").read_bytes()
+    (tmp_path / "A" / "v_train.csv").unlink()
+    assert main(evaluate) == 0
+    assert (out / "valuation.csv").read_bytes() == valued
 
 
 @pytest.mark.parametrize("settings, built, drawn", [
@@ -474,6 +506,26 @@ def test_raw_put_keeps_its_output_bytes(tmp_path, monkeypatch):
         "boundary_summary.csv":
             "a48a869c5f8b8ad7590d75d97f78afa8b3a9ef01e412c1aa731f26ea33a45082",
         "stop_region.csv": "636652785c680339e43d7a9b4610cbfc330bbdf52092cad44a6ebce8f328ff10",
+    }
+    for name, digest in pins.items():
+        assert hashlib.sha256((tmp_path / "raw" / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.skipif(not np.__version__.startswith("2."),
+                    reason="output bytes are pinned for numpy 2.x")
+def test_raw_put_boundary_with_residuals_keeps_its_output_bytes(tmp_path, monkeypatch):
+    # the raw put above, fitted and bounded against a theoretical boundary:
+    # boundary.csv gains the residual column
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "theo.csv").write_text("n,b\n" + "".join(f"{n},{80 + n / 2}\n" for n in range(9)))
+    settings = ["kind=put", "x0=95.0", "sigma=0.3", "maturity=1.0", "steps=8", "k_train=3000",
+                "k_test=3000", "bags=4", "max_depth=5", "min_node_size=5"]
+    assert main(["boundary", *overrides(settings), "--theoretical", "theo.csv",
+                 "--out", "raw"]) == 0
+    pins = {
+        "boundary.csv": "82ca98cc96cd4f943c12fcc77d45fbb64dfdea0b5b8529848cfc1c2600d39d70",
+        "boundary_summary.csv":
+            "8a8cfbd098d3aa54c559d5f4c4a6d9d8e3ffc376ec05a031e0724f9616269546",
     }
     for name, digest in pins.items():
         assert hashlib.sha256((tmp_path / "raw" / name).read_bytes()).hexdigest() == digest, name
